@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: build vet fmt-check lint lint-baseline test test-race test-layouts test-scaling fuzz-smoke obs-smoke cluster-smoke bench bench-train bench-store bench-scaling check help
+.PHONY: build vet fmt-check lint lint-baseline test test-race test-scaling fuzz-smoke obs-smoke cluster-smoke bench bench-train bench-scaling check help
 
 build:
 	$(GO) build ./...
@@ -35,11 +35,15 @@ test-race:
 	$(GO) test -race ./...
 
 # Short native-fuzzing smoke runs (one target per invocation; go test only
-# accepts -fuzz for a single package).
+# accepts -fuzz for a single package). FuzzOpenManifest's seeds are whole
+# archive manifests (several KB), so each newly interesting input is
+# minimized for a bounded number of runs rather than the default 60s, which
+# would stall a short smoke run.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDQLParse -fuzztime=$(FUZZTIME) ./internal/dql
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentRoundTrip -fuzztime=$(FUZZTIME) ./internal/floatenc
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentIndex -fuzztime=$(FUZZTIME) ./internal/pas
+	$(GO) test -run='^$$' -fuzz=FuzzOpenManifest -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x ./internal/pas
 	$(GO) test -run='^$$' -fuzz=FuzzLintDirectiveAndBaseline -fuzztime=$(FUZZTIME) ./internal/lint
 
 # End-to-end observability check: start modelhub-server -metrics, publish +
@@ -57,27 +61,15 @@ cluster-smoke:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
-# Training-substrate kernels: conv kernels, GEMM, parallel enumeration.
+# Training-substrate kernels: im2col conv, GEMM, parallel enumeration.
 bench-train:
 	$(GO) test -bench='BenchmarkConvForward|BenchmarkGemm$$|BenchmarkEvaluateGrid|BenchmarkTrainingStep' -run=^$$ .
 
-# Storage-engine comparison: legacy per-chunk files vs gen-2 segment layout
-# (cold-checkout latency, payload file opens, disk bytes, dedup). Writes
-# BENCH_store.json.
-bench-store:
-	$(GO) run ./cmd/mhbench -exp storebench -store-json BENCH_store.json
-
 # Multicore scaling sweep: GOMAXPROCS x workers over GEMM, conv passes, full
-# training steps (scratch arena on/off), and concurrent DQL evaluate. Writes
-# BENCH_scaling.json with a hardware-metadata block.
+# training steps, and concurrent DQL evaluate. Writes BENCH_scaling.json with
+# a hardware-metadata block.
 bench-scaling:
 	$(GO) run ./cmd/mhbench -exp scaling -scaling-json BENCH_scaling.json
-
-# The PAS/DLV suites against both on-disk layouts, like the CI matrix. The
-# env var pins what Create uses and whether Open migrates legacy archives.
-test-layouts:
-	MODELHUB_PAS_LAYOUT=legacy $(GO) test ./internal/pas/ ./internal/dlv/
-	MODELHUB_PAS_LAYOUT=segment $(GO) test ./internal/pas/ ./internal/dlv/
 
 # The compute-core suites under a GOMAXPROCS matrix with the race detector,
 # like the CI compute-scaling job: the determinism contract (bit-identical
@@ -100,13 +92,11 @@ help:
 	@echo "lint-baseline - regenerate lint.baseline.json from current findings"
 	@echo "test        - go test ./..."
 	@echo "test-race   - go test -race ./..."
-	@echo "fuzz-smoke  - short fuzz runs (FUZZTIME=$(FUZZTIME))"
+	@echo "fuzz-smoke  - short fuzz runs incl. the PAS manifest decoder (FUZZTIME=$(FUZZTIME))"
 	@echo "obs-smoke   - live /metrics + pprof scrape against a real server"
 	@echo "cluster-smoke - gateway + 3-replica failure drill with anti-entropy repair"
 	@echo "bench       - run all benchmarks once"
 	@echo "bench-train - training-substrate kernel benchmarks"
-	@echo "bench-store - legacy vs segment storage layout comparison (BENCH_store.json)"
 	@echo "bench-scaling - GOMAXPROCS x workers compute sweep (BENCH_scaling.json)"
-	@echo "test-layouts - pas/dlv tests against both storage layouts"
 	@echo "test-scaling - tensor/dnn/dql suites with -race under GOMAXPROCS 1/2/4"
 	@echo "check       - build + vet + fmt-check + lint + test + test-race"

@@ -560,7 +560,7 @@ func newEngine(repo *dlv.Repo) *dql.Engine { return dql.NewEngine(repo) }
 
 // ---- training substrate kernels (mhbench -exp training) ----
 
-// conv3Net is a conv-dominated 3-conv chain for kernel comparisons.
+// conv3Net is a conv-dominated 3-conv chain for the conv kernel benchmark.
 func conv3Net() *dnn.NetDef {
 	return dnn.ChainDef("conv3", 1, 24, 24, 10,
 		dnn.LayerSpec{Name: "conv1", Kind: dnn.KindConv, Out: 8, K: 3, Stride: 1, Pad: 1},
@@ -574,8 +574,8 @@ func conv3Net() *dnn.NetDef {
 	)
 }
 
-// BenchmarkConvForward compares the naive six-loop convolution against the
-// im2col/GEMM kernel on a batch-16 forward pass through a 3-conv network.
+// BenchmarkConvForward times the im2col/GEMM convolution kernel on a
+// batch-16 forward pass through a 3-conv network.
 func BenchmarkConvForward(b *testing.B) {
 	net, err := dnn.Build(conv3Net(), rand.New(rand.NewSource(3)))
 	if err != nil {
@@ -591,18 +591,9 @@ func BenchmarkConvForward(b *testing.B) {
 		}
 		batchIn[i] = v
 	}
-	for _, cfg := range []struct {
-		name   string
-		kernel dnn.ConvKernel
-	}{{"naive", dnn.ConvNaive}, {"im2col", dnn.ConvIm2col}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			prev := dnn.SetConvKernel(cfg.kernel)
-			defer dnn.SetConvKernel(prev)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				net.ForwardBatch(batchIn)
-			}
-		})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		net.ForwardBatch(batchIn)
 	}
 }
 

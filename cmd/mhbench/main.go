@@ -6,7 +6,7 @@
 // Usage:
 //
 //	mhbench -exp all            # every experiment
-//	mhbench -exp fig6a          # one of: tab1 fig6a fig6b fig6c fig6d tab4 tab5 retrieval training ablations
+//	mhbench -exp fig6a          # one of: tab1 fig6a fig6b fig6c fig6d tab4 tab5 retrieval training scale scaling ablations
 //	mhbench -exp fig6c -scale 3 # scale up the synthetic workloads
 //	mhbench -exp all -metrics BENCH_metrics.json  # dump the obs registry after the run
 package main
@@ -24,11 +24,10 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all tab1 fig6a fig6b fig6c fig6d tab4 tab5 retrieval training scale scaling ablations storebench")
+	exp := flag.String("exp", "all", "experiment: all tab1 fig6a fig6b fig6c fig6d tab4 tab5 retrieval training scale scaling ablations")
 	scale := flag.Int("scale", 1, "workload scale multiplier for synthetic experiments")
 	seed := flag.Int64("seed", 1, "random seed")
 	metricsFile := flag.String("metrics", "", "enable the obs registry and write its JSON snapshot to this file on exit")
-	storeJSON := flag.String("store-json", "", "write the storebench layout comparison to this JSON file")
 	scalingJSON := flag.String("scaling-json", "", "write the multicore scaling sweep to this JSON file")
 	flag.Parse()
 
@@ -183,23 +182,6 @@ func main() {
 		return nil
 	})
 
-	run("storebench", func() error {
-		rows, err := experiments.RunStoreBench(experiments.StoreBenchConfig{
-			Snapshots: 8 * *scale, Seed: *seed,
-		})
-		if err != nil {
-			return err
-		}
-		experiments.PrintStoreBench(os.Stdout, rows)
-		if *storeJSON != "" {
-			if err := writeStoreBench(*storeJSON, rows); err != nil {
-				return err
-			}
-			fmt.Printf("wrote layout comparison to %s\n", *storeJSON)
-		}
-		return nil
-	})
-
 	run("scaling", func() error {
 		rows, err := experiments.RunScaling(experiments.ScalingConfig{
 			Scale: *scale, Seed: *seed,
@@ -242,30 +224,6 @@ func main() {
 		experiments.PrintAblationGranularity(os.Stdout, gran)
 		return nil
 	})
-}
-
-// writeStoreBench records the storage-layout comparison in the BENCH_*.json
-// result-file format (make bench-store → BENCH_store.json).
-func writeStoreBench(path string, rows []experiments.StoreBenchRow) error {
-	benchmarks := map[string]any{}
-	for _, r := range rows {
-		benchmarks[r.Layout] = map[string]any{
-			"cold_checkout_us_per_snapshot": r.ColdCheckout.Microseconds(),
-			"payload_file_opens":            r.FileOpens,
-			"disk_bytes":                    r.DiskBytes,
-			"stored_chunks":                 r.StoredChunks,
-		}
-	}
-	doc := map[string]any{
-		"description": "PAS storage layouts on one drifting checkpoint chain with frozen layers (mhbench -exp storebench): cold full-resolution checkout of every snapshot on a freshly opened store. payload_file_opens counts pas.chunk.opens (legacy, one file per chunk) vs pas.segment.opens (gen-2 packed segments); the segment layout must open strictly fewer files and, with content-addressed dedup, store no more payload bytes.",
-		"meta":        experiments.RunMeta(),
-		"benchmarks":  benchmarks,
-	}
-	blob, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(blob, '\n'), 0o644)
 }
 
 // writeMetrics dumps the obs registry snapshot collected across the run —

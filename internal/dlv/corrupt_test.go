@@ -55,18 +55,10 @@ func TestWeightsCorruptArchiveChunk(t *testing.T) {
 	if _, err := r.Archive(ArchiveOptions{Algorithm: "pas-mt", Alpha: 2}); err != nil {
 		t.Fatal(err)
 	}
-	// Payload files of either layout: segment files (default) or legacy
-	// per-chunk files.
-	pasDir := filepath.Join(r.Root(), ".dlv", "pas")
-	files, err := filepath.Glob(filepath.Join(pasDir, "segments", "seg-*.seg"))
+	files, err := filepath.Glob(filepath.Join(r.Root(), ".dlv", "pas", "segments", "seg-*.seg"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := filepath.Glob(filepath.Join(pasDir, "chunks", "*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	files = append(files, legacy...)
 	if len(files) == 0 {
 		t.Fatal("archive has no chunk payload files")
 	}

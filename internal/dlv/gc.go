@@ -18,7 +18,7 @@ import (
 // GC compacts the repository's PAS archive: segment files holding payloads
 // no archived snapshot references are rewritten to live-only segments, and
 // the reclaimed bytes are returned. The repository must have been archived
-// (dlv archive) with the segment layout.
+// (dlv archive).
 func (r *Repo) GC() (pas.GCStats, error) {
 	defer obs.StartRoot("dlv.gc").End()
 	store, err := r.openArchive()
@@ -38,13 +38,4 @@ func (r *Repo) Repack() (pas.GCStats, error) {
 		return pas.GCStats{}, fmt.Errorf("%w: repack: %v", ErrRepo, err)
 	}
 	return store.Repack()
-}
-
-// ArchiveLayout reports the on-disk layout of the repository's PAS archive.
-func (r *Repo) ArchiveLayout() (string, error) {
-	store, err := r.openArchive()
-	if err != nil {
-		return "", err
-	}
-	return store.Layout(), nil
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"modelhub/internal/floatenc"
-	"modelhub/internal/pas"
 )
 
 // Re-archiving with degraded checkpoints displaces the original lossless
@@ -18,13 +17,6 @@ func TestGCReclaimsAfterRearchive(t *testing.T) {
 	id, res, _ := commitToy(t, r, "toy", 51, 0)
 	if _, err := r.Archive(ArchiveOptions{Algorithm: "pas-mt", Alpha: 2}); err != nil {
 		t.Fatal(err)
-	}
-	layout, err := r.ArchiveLayout()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if layout != pas.LayoutSegment {
-		t.Skipf("archive layout %s: gc applies to the segment layout only", layout)
 	}
 	// Settle the archive first so the later GC's reclaimed bytes measure
 	// re-archive garbage, not first-write fragmentation.

@@ -1,45 +1,6 @@
 package dnn
 
-import (
-	"sync/atomic"
-
-	"modelhub/internal/tensor"
-)
-
-// ConvKernel selects the convolution implementation: the im2col/GEMM kernel
-// (default) or the naive six-loop reference. The naive kernel is kept both
-// as the correctness oracle for the property tests and as the baseline the
-// training experiment (mhbench -exp training) compares against.
-type ConvKernel int32
-
-const (
-	// ConvIm2col lowers each convolution to an im2col unroll followed by a
-	// blocked, parallel GEMM (tensor.GemmStrided), with per-layer reusable
-	// column buffers so steady-state training does no per-example column
-	// allocation.
-	ConvIm2col ConvKernel = iota
-	// ConvNaive is the reference six-deep scalar loop.
-	ConvNaive
-)
-
-// convKernel is the process-wide kernel selection, read atomically at each
-// Forward/Backward so concurrent network clones see a consistent value.
-var convKernel atomic.Int32
-
-// SetConvKernel selects the convolution kernel for subsequently executed
-// forward/backward passes and returns the previous selection. Values that
-// name no kernel (negative, or beyond the defined constants) clamp to the
-// default ConvIm2col rather than leaving passes on an undefined path. Safe
-// for concurrent callers.
-func SetConvKernel(k ConvKernel) ConvKernel {
-	if k != ConvIm2col && k != ConvNaive {
-		k = ConvIm2col
-	}
-	return ConvKernel(convKernel.Swap(int32(k)))
-}
-
-// ActiveConvKernel reports the current selection.
-func ActiveConvKernel() ConvKernel { return ConvKernel(convKernel.Load()) }
+import "modelhub/internal/tensor"
 
 // im2col unrolls in (C×H×W) into cols (C·k·k × outH·outW): row (ic·k+ky)·k+kx,
 // column oy·outW+ox holds in[ic, oy·stride+ky-pad, ox·stride+kx-pad], or 0

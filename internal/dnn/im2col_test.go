@@ -6,6 +6,81 @@ import (
 	"testing"
 )
 
+// forwardNaive and backwardNaive are the reference six-deep scalar loops the
+// production im2col/GEMM kernel (convLayer.Forward/Backward) is checked
+// against. They share the layer's scratch slots, so a layer must be driven
+// through one kernel pair only.
+func (l *convLayer) forwardNaive(in *Volume) *Volume {
+	l.lastIn = in
+	// Every output element is assigned below, so no zero-on-reuse.
+	out := scratchVolume(&l.outBuf, l.out, false)
+	k, pad := l.spec.K, l.spec.Pad
+	biasCol := l.w.Cols() - 1
+	for oc := 0; oc < l.out.C; oc++ {
+		wrow := l.w.Row(oc)
+		for oy := 0; oy < l.out.H; oy++ {
+			for ox := 0; ox < l.out.W; ox++ {
+				sum := wrow[biasCol]
+				for ic := 0; ic < l.in.C; ic++ {
+					for ky := 0; ky < k; ky++ {
+						iy := oy*l.stride + ky - pad
+						if iy < 0 || iy >= l.in.H {
+							continue
+						}
+						for kx := 0; kx < k; kx++ {
+							ix := ox*l.stride + kx - pad
+							if ix < 0 || ix >= l.in.W {
+								continue
+							}
+							sum += wrow[(ic*k+ky)*k+kx] * in.At(ic, iy, ix)
+						}
+					}
+				}
+				out.Set(oc, oy, ox, sum)
+			}
+		}
+	}
+	return out
+}
+
+func (l *convLayer) backwardNaive(dOut *Volume) *Volume {
+	in := l.lastIn
+	dIn := scratchVolume(&l.dInBuf, l.in, true) // scatter-add target
+	k, pad := l.spec.K, l.spec.Pad
+	biasCol := l.w.Cols() - 1
+	for oc := 0; oc < l.out.C; oc++ {
+		wrow := l.w.Row(oc)
+		grow := l.g.Row(oc)
+		for oy := 0; oy < l.out.H; oy++ {
+			for ox := 0; ox < l.out.W; ox++ {
+				d := dOut.At(oc, oy, ox)
+				if d == 0 {
+					continue
+				}
+				grow[biasCol] += d
+				for ic := 0; ic < l.in.C; ic++ {
+					for ky := 0; ky < k; ky++ {
+						iy := oy*l.stride + ky - pad
+						if iy < 0 || iy >= l.in.H {
+							continue
+						}
+						for kx := 0; kx < k; kx++ {
+							ix := ox*l.stride + kx - pad
+							if ix < 0 || ix >= l.in.W {
+								continue
+							}
+							idx := (ic*k+ky)*k + kx
+							grow[idx] += d * in.At(ic, iy, ix)
+							dIn.Data[(ic*l.in.H+iy)*l.in.W+ix] += d * wrow[idx]
+						}
+					}
+				}
+			}
+		}
+	}
+	return dIn
+}
+
 // newConvPair builds two identically-weighted conv layers for the same spec
 // so the im2col and naive kernels can be run side by side.
 func newConvPair(t *testing.T, spec LayerSpec, in Shape, rng *rand.Rand) (a, b *convLayer) {
@@ -49,8 +124,6 @@ func randVol(rng *rand.Rand, s Shape) *Volume {
 // Gradients are compared after a single backward pass from zeroed
 // accumulators; accumulating further passes re-associates the running sums.
 func TestConvIm2colMatchesNaive(t *testing.T) {
-	prev := SetConvKernel(ConvIm2col)
-	defer SetConvKernel(prev)
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
 		inShape := Shape{C: 1 + rng.Intn(3), H: 3 + rng.Intn(8), W: 3 + rng.Intn(8)}
@@ -67,19 +140,15 @@ func TestConvIm2colMatchesNaive(t *testing.T) {
 		fast, naive := newConvPair(t, spec, inShape, rng)
 		in := randVol(rng, inShape)
 
-		SetConvKernel(ConvIm2col)
 		outFast := fast.Forward(in)
-		SetConvKernel(ConvNaive)
-		outNaive := naive.Forward(in)
+		outNaive := naive.forwardNaive(in)
 		if !equalBits(outFast.Data, outNaive.Data) {
 			t.Fatalf("trial %d (%+v in %v): forward differs", trial, spec, inShape)
 		}
 
 		dOut := randVol(rng, fast.OutShape())
-		SetConvKernel(ConvIm2col)
 		dInFast := fast.Backward(dOut)
-		SetConvKernel(ConvNaive)
-		dInNaive := naive.Backward(dOut)
+		dInNaive := naive.backwardNaive(dOut)
 
 		if !fast.g.Equal(naive.g) {
 			t.Fatalf("trial %d (%+v in %v): weight gradient differs", trial, spec, inShape)
@@ -92,8 +161,6 @@ func TestConvIm2colMatchesNaive(t *testing.T) {
 
 // TestConvIm2colStridePadEdges pins the awkward geometries explicitly.
 func TestConvIm2colStridePadEdges(t *testing.T) {
-	prev := SetConvKernel(ConvIm2col)
-	defer SetConvKernel(prev)
 	rng := rand.New(rand.NewSource(7))
 	cases := []struct {
 		in   Shape
@@ -108,12 +175,10 @@ func TestConvIm2colStridePadEdges(t *testing.T) {
 	for _, c := range cases {
 		fast, naive := newConvPair(t, c.spec, c.in, rng)
 		in := randVol(rng, c.in)
-		SetConvKernel(ConvIm2col)
 		outFast := fast.Forward(in)
 		dInFast := fast.Backward(randVol(rand.New(rand.NewSource(9)), fast.OutShape()))
-		SetConvKernel(ConvNaive)
-		outNaive := naive.Forward(in)
-		dInNaive := naive.Backward(randVol(rand.New(rand.NewSource(9)), naive.OutShape()))
+		outNaive := naive.forwardNaive(in)
+		dInNaive := naive.backwardNaive(randVol(rand.New(rand.NewSource(9)), naive.OutShape()))
 		if !equalBits(outFast.Data, outNaive.Data) {
 			t.Fatalf("%+v in %v: forward differs", c.spec, c.in)
 		}

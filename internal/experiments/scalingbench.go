@@ -19,9 +19,8 @@ import (
 
 // Multicore scaling experiment (mhbench -exp scaling): sweeps GOMAXPROCS ×
 // worker counts across the compute core's hot paths — raw GEMM, conv
-// forward and forward+backward passes, full training steps (with the
-// scratch arena on and off, so the allocation win is measured, not
-// asserted), and concurrent DQL evaluate — and records throughput,
+// forward and forward+backward passes, full training steps, and concurrent
+// DQL evaluate — and records throughput,
 // per-op allocation, and the GEMM dispatcher's chunk/steal counters into
 // BENCH_scaling.json. This is the throughput proof the ROADMAP's service
 // items build on; the embedded Meta block says what hardware the curve came
@@ -206,14 +205,9 @@ func RunScaling(cfg ScalingConfig) ([]ScalingRow, error) {
 			net.LossAndBackward(in, examples[0].Label)
 		}))
 
-		// Full training step, arena on vs off — the before/after allocation
-		// comparison lives in the same file as the scaling curve.
-		dnn.SetScratchPooling(true)
-		trainStep() // warm persistent buffers
+		// Full training step on warm scratch buffers.
+		trainStep()
 		addRow(measureScaling("train_step", procs, 0, 10*sc, trainStep))
-		dnn.SetScratchPooling(false)
-		addRow(measureScaling("train_step_nopool", procs, 0, 10*sc, trainStep))
-		dnn.SetScratchPooling(true)
 
 		// Concurrent DQL evaluate: serial vs procs-wide enumeration.
 		for _, workers := range []int{1, procs} {
@@ -235,7 +229,7 @@ func RunScaling(cfg ScalingConfig) ([]ScalingRow, error) {
 			if dqlBaseline == nil {
 				dqlBaseline = got
 				base["dql_evaluate"] = r.OpsPerSec
-			} else if err := checkCandidates(dqlBaseline, got, true); err != nil {
+			} else if err := checkCandidates(dqlBaseline, got); err != nil {
 				return nil, fmt.Errorf("scaling: dql evaluate diverged at procs=%d workers=%d: %w", procs, workers, err)
 			}
 			if b := base["dql_evaluate"]; b > 0 {
@@ -279,7 +273,7 @@ func PrintScaling(w io.Writer, rows []ScalingRow) {
 // WriteScalingJSON records the sweep with its hardware metadata.
 func WriteScalingJSON(path string, rows []ScalingRow, meta Meta) error {
 	doc := map[string]any{
-		"description": "GOMAXPROCS x workers sweep over GEMM, conv forward/backward, full training steps (scratch arena on/off), and concurrent DQL evaluate (mhbench -exp scaling). speedup is ops/sec relative to the first procs point; train_step vs train_step_nopool is the before/after allocation comparison; gemm_chunks/stolen are the work-stealing dispatcher's claim counters. Scaling beyond 1x requires the hardware in meta to have more than one CPU.",
+		"description": "GOMAXPROCS x workers sweep over GEMM, conv forward/backward, full training steps, and concurrent DQL evaluate (mhbench -exp scaling). speedup is ops/sec relative to the first procs point; gemm_chunks/stolen are the work-stealing dispatcher's claim counters. Scaling beyond 1x requires the hardware in meta to have more than one CPU.",
 		"meta":        meta,
 		"benchmarks":  rows,
 	}

@@ -5,14 +5,12 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strconv"
 	"testing"
 )
 
 // TestRunScalingSmoke runs a tiny two-point sweep and checks the invariants
 // the full benchmark relies on: every bench appears at every procs point,
-// GOMAXPROCS is restored, the arena-off training step allocates more than the
-// arena-on one, and the dispatcher counters registered activity.
+// GOMAXPROCS is restored, and the dispatcher counters registered activity.
 func TestRunScalingSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scaling sweep trains networks; skipped in -short")
@@ -27,39 +25,21 @@ func TestRunScalingSmoke(t *testing.T) {
 	}
 
 	perProcs := map[int]map[string]bool{}
-	byCell := map[[2]interface{}]ScalingRow{}
 	for _, r := range rows {
 		if perProcs[r.Procs] == nil {
 			perProcs[r.Procs] = map[string]bool{}
 		}
 		perProcs[r.Procs][r.Bench] = true
-		byCell[[2]interface{}{r.Bench + "/" + strconv.Itoa(r.Workers), r.Procs}] = r
 		if r.Ops <= 0 || r.NsPerOp <= 0 || r.OpsPerSec <= 0 {
 			t.Errorf("%s procs=%d workers=%d: degenerate stats %+v", r.Bench, r.Procs, r.Workers, r)
 		}
 	}
-	want := []string{"gemm", "conv_forward", "conv_backward", "train_step", "train_step_nopool", "dql_evaluate"}
+	want := []string{"gemm", "conv_forward", "conv_backward", "train_step", "dql_evaluate"}
 	for _, procs := range []int{1, 2} {
 		for _, b := range want {
 			if !perProcs[procs][b] {
 				t.Errorf("missing bench %q at procs=%d", b, procs)
 			}
-		}
-	}
-
-	// The arena must be a measured win, not an asserted one: the pooling-off
-	// training step has to allocate a multiple per op. (2x here, not the 4x
-	// the dnn suite pins at fixed settings: at procs>1 the parallel GEMM
-	// dispatch adds per-call scheduling allocations to both cells.)
-	for _, procs := range []int{1, 2} {
-		on := byCell[[2]interface{}{"train_step/0", procs}]
-		off := byCell[[2]interface{}{"train_step_nopool/0", procs}]
-		if on.Bench == "" || off.Bench == "" {
-			t.Fatalf("missing train_step cells at procs=%d", procs)
-		}
-		if off.AllocsPerOp < 2*on.AllocsPerOp {
-			t.Errorf("procs=%d: arena off allocs/op %.1f, on %.1f — want >= 2x reduction",
-				procs, off.AllocsPerOp, on.AllocsPerOp)
 		}
 	}
 

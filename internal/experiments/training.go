@@ -16,16 +16,12 @@ import (
 
 // Training-substrate experiment (beyond the paper's figures): the model
 // enumeration workload (DQL evaluate, Query 4) is dominated by DNN
-// training, so this measures candidates/sec and training examples/sec for
-// the naive six-loop convolution kernel vs the im2col/GEMM kernel, across
-// enumeration worker counts — and cross-checks that (a) every worker count
-// returns candidates bit-identical to sequential execution and (b) the two
-// kernels agree on losses and accuracies within the documented rounding
-// tolerance (their input gradients associate sums differently).
+// training, so this measures candidates/sec and training examples/sec
+// across enumeration worker counts, and checks that every worker count
+// returns candidates bit-identical to sequential execution.
 
-// TrainingRow is one (kernel, workers) cell.
+// TrainingRow is one worker-count cell.
 type TrainingRow struct {
-	Kernel     string
 	Workers    int
 	Candidates int
 	Elapsed    time.Duration
@@ -58,7 +54,7 @@ func (c TrainingConfig) withDefaults() TrainingConfig {
 	return c
 }
 
-// trainingNet is the 3-conv benchmark network the kernels are compared on.
+// trainingNet is the 3-conv benchmark network.
 func trainingNet(name string) *dnn.NetDef {
 	return dnn.ChainDef(name, 1, data.DigitSize, data.DigitSize, data.NumDigits,
 		dnn.LayerSpec{Name: "conv1", Kind: dnn.KindConv, Out: 8, K: 3, Stride: 1, Pad: 1},
@@ -84,10 +80,9 @@ func trainingQuery(iters int) string {
 		keep top(8, m["loss"], %d)`, iters)
 }
 
-// RunTraining measures the enumeration grid under both conv kernels across
-// worker counts. The im2col/sequential run is the correctness baseline:
-// im2col runs at every worker count must match it bit-exactly, and naive
-// runs must agree within tolerance.
+// RunTraining measures the enumeration grid across worker counts. The
+// sequential run is the correctness baseline every worker count must match
+// bit-exactly.
 func RunTraining(cfg TrainingConfig) ([]TrainingRow, error) {
 	cfg = cfg.withDefaults()
 	dir, err := os.MkdirTemp("", "mh-training-*")
@@ -108,11 +103,7 @@ func RunTraining(cfg TrainingConfig) ([]TrainingRow, error) {
 	eng.RegisterDataset("digits", data.Digits(rng, cfg.Examples, 0.05))
 	query := trainingQuery(cfg.Iters)
 
-	prevKernel := dnn.ActiveConvKernel()
-	defer dnn.SetConvKernel(prevKernel)
-
-	run := func(kernel dnn.ConvKernel, workers int) ([]dql.Candidate, time.Duration, error) {
-		dnn.SetConvKernel(kernel)
+	run := func(workers int) ([]dql.Candidate, time.Duration, error) {
 		eng.SetWorkers(workers)
 		start := time.Now()
 		res, err := eng.Run(query)
@@ -122,77 +113,56 @@ func RunTraining(cfg TrainingConfig) ([]TrainingRow, error) {
 		return res.Candidates, time.Since(start), nil
 	}
 
-	// Correctness baseline: im2col, sequential.
-	baseline, _, err := run(dnn.ConvIm2col, 1)
+	// Correctness baseline: sequential.
+	baseline, _, err := run(1)
 	if err != nil {
 		return nil, err
 	}
 
 	var rows []TrainingRow
-	for _, kc := range []struct {
-		kernel dnn.ConvKernel
-		label  string
-	}{{dnn.ConvNaive, "naive"}, {dnn.ConvIm2col, "im2col"}} {
-		for _, workers := range cfg.Workers {
-			cands, elapsed, err := run(kc.kernel, workers)
-			if err != nil {
-				return nil, fmt.Errorf("%s workers=%d: %w", kc.label, workers, err)
-			}
-			if err := checkCandidates(baseline, cands, kc.kernel == dnn.ConvIm2col); err != nil {
-				return nil, fmt.Errorf("%s workers=%d: %w", kc.label, workers, err)
-			}
-			sec := elapsed.Seconds()
-			rows = append(rows, TrainingRow{
-				Kernel:     kc.label,
-				Workers:    workers,
-				Candidates: len(cands),
-				Elapsed:    elapsed,
-				CandPerSec: float64(len(cands)) / sec,
-				ExPerSec:   float64(len(cands)*cfg.Iters*cfg.Batch) / sec,
-			})
+	for _, workers := range cfg.Workers {
+		cands, elapsed, err := run(workers)
+		if err != nil {
+			return nil, fmt.Errorf("workers=%d: %w", workers, err)
 		}
+		if err := checkCandidates(baseline, cands); err != nil {
+			return nil, fmt.Errorf("workers=%d: %w", workers, err)
+		}
+		sec := elapsed.Seconds()
+		rows = append(rows, TrainingRow{
+			Workers:    workers,
+			Candidates: len(cands),
+			Elapsed:    elapsed,
+			CandPerSec: float64(len(cands)) / sec,
+			ExPerSec:   float64(len(cands)*cfg.Iters*cfg.Batch) / sec,
+		})
 	}
 	return rows, nil
 }
 
-// checkCandidates compares a run against the im2col/sequential baseline:
-// exact (bit-identical losses, accuracies, survivor order) for im2col runs
-// at any worker count; within rounding tolerance for the naive kernel,
-// whose conv input gradients associate float sums differently.
-func checkCandidates(baseline, got []dql.Candidate, exact bool) error {
+// checkCandidates requires a run to match the sequential baseline exactly:
+// bit-identical losses and accuracies in the same survivor order.
+func checkCandidates(baseline, got []dql.Candidate) error {
 	if len(got) != len(baseline) {
 		return fmt.Errorf("got %d candidates, baseline %d", len(got), len(baseline))
 	}
 	for i, c := range got {
 		b := baseline[i]
-		if exact {
-			if math.Float64bits(c.Loss) != math.Float64bits(b.Loss) ||
-				math.Float64bits(c.Acc) != math.Float64bits(b.Acc) {
-				return fmt.Errorf("candidate %d: (loss %v, acc %v) != baseline (loss %v, acc %v)",
-					i, c.Loss, c.Acc, b.Loss, b.Acc)
-			}
-			continue
-		}
-		if relDiff(c.Loss, b.Loss) > 0.05 || math.Abs(c.Acc-b.Acc) > 0.1 {
-			return fmt.Errorf("candidate %d: naive (loss %v, acc %v) vs im2col (loss %v, acc %v) beyond tolerance",
+		if math.Float64bits(c.Loss) != math.Float64bits(b.Loss) ||
+			math.Float64bits(c.Acc) != math.Float64bits(b.Acc) {
+			return fmt.Errorf("candidate %d: (loss %v, acc %v) != baseline (loss %v, acc %v)",
 				i, c.Loss, c.Acc, b.Loss, b.Acc)
 		}
 	}
 	return nil
 }
 
-func relDiff(a, b float64) float64 {
-	d := math.Abs(a - b)
-	scale := math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-	return d / scale
-}
-
-// PrintTraining renders the kernel/worker throughput table.
+// PrintTraining renders the per-worker-count throughput table.
 func PrintTraining(w io.Writer, rows []TrainingRow) {
 	fprintf(w, "Model enumeration training substrate (8-candidate grid, 3-conv net)\n")
-	fprintf(w, "%-8s %-8s %-6s %12s %12s %14s\n", "KERNEL", "WORKERS", "CANDS", "ELAPSED", "CAND/S", "TRAIN-EX/S")
+	fprintf(w, "%-8s %-6s %12s %12s %14s\n", "WORKERS", "CANDS", "ELAPSED", "CAND/S", "TRAIN-EX/S")
 	for _, r := range rows {
-		fprintf(w, "%-8s %-8d %-6d %12s %12.2f %14.0f\n",
-			r.Kernel, r.Workers, r.Candidates, r.Elapsed.Round(time.Millisecond), r.CandPerSec, r.ExPerSec)
+		fprintf(w, "%-8d %-6d %12s %12.2f %14.0f\n",
+			r.Workers, r.Candidates, r.Elapsed.Round(time.Millisecond), r.CandPerSec, r.ExPerSec)
 	}
 }

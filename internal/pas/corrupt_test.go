@@ -9,20 +9,13 @@ import (
 	"testing"
 )
 
-// chunkFiles lists every file holding chunk payloads, for whichever layout
-// the archive uses: segment files under segments/, or per-chunk files under
-// chunks/. Sorted for determinism.
+// chunkFiles lists the archive's segment files, sorted for determinism.
 func chunkFiles(t *testing.T, dir string) []string {
 	t.Helper()
 	out, err := filepath.Glob(filepath.Join(dir, "segments", "seg-*.seg"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := filepath.Glob(filepath.Join(dir, "chunks", "*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out = append(out, legacy...)
 	sort.Strings(out)
 	if len(out) == 0 {
 		t.Fatal("archive has no chunk payload files")
@@ -30,10 +23,8 @@ func chunkFiles(t *testing.T, dir string) []string {
 	return out
 }
 
-// corruptEverySnapshot corrupts one chunk file via mutate, reopens the store
-// (a fresh Store, so no plane cache hides the damage), and asserts every
-// snapshot retrieval that touches the bad chunk fails with ErrStore under
-// every retrieval scheme. At least one snapshot must be affected.
+// corruptEverySnapshot corrupts one chunk file via mutate and asserts the
+// damage surfaces (expectCorruptionSurfaces).
 func corruptEverySnapshot(t *testing.T, mutate func(t *testing.T, path string)) {
 	t.Helper()
 	snaps := makeSnaps(7, 3, 0)
@@ -41,8 +32,17 @@ func corruptEverySnapshot(t *testing.T, mutate func(t *testing.T, path string)) 
 	if _, err := Create(dir, snaps, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	files := chunkFiles(t, dir)
-	mutate(t, files[0])
+	mutate(t, chunkFiles(t, dir)[0])
+	expectCorruptionSurfaces(t, dir, snaps)
+}
+
+// expectCorruptionSurfaces reopens the archive in dir once per retrieval
+// scheme (a fresh Store, so no plane cache hides the damage) and asserts
+// every snapshot retrieval that touches a damaged chunk fails with
+// ErrStore, while the rest decode exactly. At least one snapshot must be
+// affected.
+func expectCorruptionSurfaces(t *testing.T, dir string, snaps []SnapshotIn) {
+	t.Helper()
 	for _, scheme := range []Scheme{Independent, Parallel, Reusable, Concurrent} {
 		st, err := Open(dir)
 		if err != nil {
@@ -78,9 +78,8 @@ func TestGetSnapshotBitFlippedChunk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The last byte is always chunk payload under both layouts (a
-		// middle byte could land in a segment record header, which reads
-		// do not traverse).
+		// The last byte is always chunk payload (a middle byte could land
+		// in a segment record header, which reads do not traverse).
 		blob[len(blob)-1] ^= 0x40
 		if err := os.WriteFile(path, blob, 0o644); err != nil {
 			t.Fatal(err)

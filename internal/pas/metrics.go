@@ -25,10 +25,8 @@ var (
 	// Fig. 8-10 byte savings, observable live.
 	mLowOrderBytesAvoided = obs.GetCounter("pas.progressive.low_order_bytes_avoided")
 
-	// Segment storage engine (gen 2, DESIGN.md §10). pas.chunk.opens
-	// counts per-file chunk opens on the legacy layout; pas.segment.opens
-	// counts segment file opens — the pair BENCH_store.json compares.
-	mChunkOpens         = obs.GetCounter("pas.chunk.opens")
+	// Segment storage engine (DESIGN.md §10). pas.segment.opens counts
+	// segment file opens.
 	mSegmentOpens       = obs.GetCounter("pas.segment.opens")
 	mSegmentDedupHits   = obs.GetCounter("pas.segment.dedup_hits")
 	mSegmentDedupBytes  = obs.GetCounter("pas.segment.dedup_bytes_saved")

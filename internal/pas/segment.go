@@ -1,14 +1,12 @@
 package pas
 
-// Storage-engine generation 2: the segment archive layout (manifest
-// Version 2).
+// The archive's storage layout (manifest Version 2): segment files.
 //
-// Instead of one file per (node, plane, tier) chunk, compressed chunk
-// payloads are packed into a small number of append-only segment files under
-// <dir>/segments/, and payloads are content-addressed by the SHA-256 the
-// manifest already records per plane: identical payloads — frozen layers,
-// repeated deltas, re-archived snapshots — are stored once. A segment file
-// is immutable once written:
+// Compressed chunk payloads are packed into a small number of append-only
+// segment files under <dir>/segments/, and payloads are content-addressed by
+// the SHA-256 the manifest already records per plane: identical payloads —
+// frozen layers, repeated deltas, re-archived snapshots — are stored once. A
+// segment file is immutable once written:
 //
 //	segments/seg-000000.seg:  "PASSEG2\n" | record | record | ...
 //	record:                   len uint32be | sha256 [32]byte | payload
@@ -18,11 +16,14 @@ package pas
 // WHERE payloads live — so GC and repack rewrite segments and flip the index
 // without ever touching the manifest.
 //
+// Version-1 archives (one file per (node, plane, tier) chunk under chunks/
+// and remote/) are read only by the one-shot migration on Open.
+//
 // Commit orders (each step durable via temp-file + fsync + rename + parent
 // dir fsync):
 //
 //	Create/migrate: write segment files → write index → write manifest
-//	                (the commit point) → unlink legacy chunks
+//	                (the commit point) → unlink Version-1 chunk dirs
 //	GC/repack:      write replacement segments → flip index (the commit
 //	                point) → unlink victim segments
 //
@@ -49,13 +50,6 @@ import (
 	"modelhub/internal/obs"
 )
 
-// Layout names accepted by Options.Layout and the MODELHUB_PAS_LAYOUT
-// environment variable. "chunk" and "v1" are aliases for LayoutLegacy.
-const (
-	LayoutSegment = "segment"
-	LayoutLegacy  = "legacy"
-)
-
 const (
 	segmentsDir  = "segments"
 	segIndexName = "index.json"
@@ -68,36 +62,6 @@ const (
 	// additional segments so GC can rewrite them piecemeal.
 	segTargetBytes = 256 << 20
 )
-
-// layout codes of an opened store.
-const (
-	layoutLegacy = iota
-	layoutSegment
-)
-
-// DefaultLayout resolves the layout new archives are created with when
-// Options.Layout is empty: MODELHUB_PAS_LAYOUT if set, else the segment
-// layout. The same switch decides whether Open migrates Version-1 archives.
-func DefaultLayout() string {
-	switch os.Getenv("MODELHUB_PAS_LAYOUT") {
-	case LayoutLegacy, "chunk", "v1":
-		return LayoutLegacy
-	}
-	return LayoutSegment
-}
-
-func resolveLayout(name string) (int, error) {
-	if name == "" {
-		name = DefaultLayout()
-	}
-	switch name {
-	case LayoutSegment:
-		return layoutSegment, nil
-	case LayoutLegacy, "chunk", "v1":
-		return layoutLegacy, nil
-	}
-	return 0, fmt.Errorf("%w: unknown layout %q (want %q or %q)", ErrStore, name, LayoutSegment, LayoutLegacy)
-}
 
 // segIndex is the persisted segments/index.json: where every stored chunk
 // payload physically lives.
@@ -332,6 +296,39 @@ func writeSegments(dir string, idx *segIndex, payloads []segPayload) ([]segFileI
 	return infos, locs, nil
 }
 
+// appendSegments packs the payloads the directory's segment index does not
+// already hold (deduplicated by content sum, within the batch too) into new
+// segment files, then commits the extended index. It returns the number of
+// segment files written.
+func appendSegments(dir string, payloads []segPayload) (int, error) {
+	if err := os.MkdirAll(filepath.Join(dir, segmentsDir), 0o755); err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrStore, err)
+	}
+	idx := loadOrInitSegIndex(dir)
+	seen := make(map[string]bool, len(payloads))
+	var fresh []segPayload
+	for _, p := range payloads {
+		if _, ok := idx.Chunks[p.sum]; ok || seen[p.sum] {
+			mSegmentDedupHits.Inc()
+			mSegmentDedupBytes.Add(int64(len(p.data)))
+			continue
+		}
+		seen[p.sum] = true
+		fresh = append(fresh, p)
+	}
+	infos, locs, err := writeSegments(dir, idx, fresh)
+	if err != nil {
+		return 0, fmt.Errorf("%w: writing segments: %v", ErrStore, err)
+	}
+	base := len(idx.Segments)
+	idx.Segments = append(idx.Segments, infos...)
+	for sum, loc := range locs {
+		loc.Seg += base
+		idx.Chunks[sum] = loc
+	}
+	return len(infos), saveSegIndex(dir, idx)
+}
+
 // saveSegIndex persists the index atomically and refreshes the segment
 // gauges.
 func saveSegIndex(dir string, idx *segIndex) error {
@@ -437,8 +434,8 @@ func loadOrInitSegIndex(dir string) *segIndex {
 }
 
 // segReader serves chunk payloads out of segment files: an in-memory index
-// plus lazily opened, long-lived file handles — the open() economy over the
-// per-chunk layout, where every plane read was its own open. GC swaps in a
+// plus lazily opened, long-lived file handles, so a checkout opens each
+// segment once rather than once per plane read. GC swaps in a
 // rewritten index under the mutex and retires the handles of unlinked
 // segments to a graveyard that stays open until Close, so a concurrent
 // reader's in-flight ReadAt still sees the bytes its index snapshot named.
@@ -525,47 +522,21 @@ func (r *segReader) close() error {
 	return err
 }
 
-// Layout reports the on-disk layout of the opened archive: LayoutSegment
-// (manifest Version 2) or LayoutLegacy (Version 1, one file per chunk).
-func (s *Store) Layout() string {
-	if s.layout == layoutSegment {
-		return LayoutSegment
-	}
-	return LayoutLegacy
-}
-
 // Close releases the store's open segment file handles, including handles
-// GC retired while readers were in flight. Closing a legacy-layout store is
-// a no-op. The store must not be used after Close.
+// GC retired while readers were in flight. The store must not be used after
+// Close.
 func (s *Store) Close() error {
-	if s.layout != layoutSegment {
-		return nil
-	}
 	return s.seg.close()
 }
 
-// StoredChunks counts physically stored chunk payloads: index records under
-// the segment layout (after dedup), stored planes under the legacy layout
-// (one file each).
+// StoredChunks counts physically stored chunk payloads: index records,
+// after dedup.
 func (s *Store) StoredChunks() int {
-	if s.layout == layoutSegment {
-		idx := s.seg.snapshotIndex()
-		return len(idx.Chunks)
-	}
-	count := 0
-	for i := range s.man.Nodes {
-		start, end := nodePlanes(&s.man.Nodes[i])
-		count += end - start
-	}
-	return count
+	return len(s.seg.snapshotIndex().Chunks)
 }
 
-// SegmentDiskBytes sums the on-disk sizes of the archive's segment files
-// (0 under the legacy layout).
+// SegmentDiskBytes sums the on-disk sizes of the archive's segment files.
 func (s *Store) SegmentDiskBytes() int64 {
-	if s.layout != layoutSegment {
-		return 0
-	}
 	idx := s.seg.snapshotIndex()
 	var total int64
 	for _, sf := range idx.Segments {
@@ -623,9 +594,6 @@ func (s *Store) Repack() (GCStats, error) {
 }
 
 func (s *Store) compact(all bool) (GCStats, error) {
-	if s.layout != layoutSegment {
-		return GCStats{}, fmt.Errorf("%w: gc requires the segment layout (this archive is per-chunk; reopen it with the segment layout to migrate)", ErrStore)
-	}
 	s.seg.cmu.Lock()
 	defer s.seg.cmu.Unlock()
 	idx := s.seg.snapshotIndex()
@@ -758,12 +726,8 @@ type SegmentStat struct {
 	DeadChunks int
 }
 
-// SegmentStats reports per-segment occupancy under the segment layout
-// (nil for legacy archives).
+// SegmentStats reports per-segment occupancy.
 func (s *Store) SegmentStats() []SegmentStat {
-	if s.layout != layoutSegment {
-		return nil
-	}
 	idx := s.seg.snapshotIndex()
 	live := s.liveSums()
 	out := make([]SegmentStat, len(idx.Segments))
@@ -786,9 +750,9 @@ func (s *Store) SegmentStats() []SegmentStat {
 // (the commit point) → legacy chunk unlink. A crash at any step leaves
 // either a readable Version-1 or a readable Version-2 archive. Chunk
 // payloads are not verified here — reads verify against the manifest, so
-// pre-existing corruption surfaces exactly where it did before, at
-// retrieval. Already-missing chunk files are skipped; their sums stay absent
-// from the index and retrieval reports them missing, as on the legacy path.
+// pre-existing corruption surfaces at retrieval as a checksum mismatch.
+// Already-missing chunk files are skipped; their sums stay absent from the
+// index and retrieval reports them missing.
 func migrateLegacy(dir string, man *manifest) error {
 	var payloads []segPayload
 	seen := make(map[string]bool)
@@ -811,28 +775,8 @@ func migrateLegacy(dir string, man *manifest) error {
 			payloads = append(payloads, segPayload{sum: sum, data: z})
 		}
 	}
-	if err := os.MkdirAll(filepath.Join(dir, segmentsDir), 0o755); err != nil {
-		return fmt.Errorf("%w: %v", ErrStore, err)
-	}
-	idx := loadOrInitSegIndex(dir)
-	var fresh []segPayload
-	for _, p := range payloads {
-		if _, ok := idx.Chunks[p.sum]; ok {
-			continue
-		}
-		fresh = append(fresh, p)
-	}
-	infos, locs, err := writeSegments(dir, idx, fresh)
+	segs, err := appendSegments(dir, payloads)
 	if err != nil {
-		return fmt.Errorf("%w: migrating chunks into segments: %v", ErrStore, err)
-	}
-	base := len(idx.Segments)
-	idx.Segments = append(idx.Segments, infos...)
-	for sum, loc := range locs {
-		loc.Seg += base
-		idx.Chunks[sum] = loc
-	}
-	if err := saveSegIndex(dir, idx); err != nil {
 		return err
 	}
 	man.Version = 2
@@ -842,7 +786,7 @@ func migrateLegacy(dir string, man *manifest) error {
 	removeLegacyDirs(dir)
 	mSegmentMigrations.Inc()
 	obs.Logger().Info("pas: migrated legacy archive to segment layout",
-		"dir", dir, "chunks", len(payloads), "segments", len(infos))
+		"dir", dir, "chunks", len(payloads), "segments", segs)
 	return nil
 }
 

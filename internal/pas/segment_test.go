@@ -1,7 +1,6 @@
 package pas
 
 import (
-	"bytes"
 	"errors"
 	"math/rand"
 	"os"
@@ -10,8 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"modelhub/internal/floatenc"
-	"modelhub/internal/obs"
 	"modelhub/internal/tensor"
 )
 
@@ -28,145 +25,6 @@ func checkoutAllExact(t *testing.T, st *Store, snaps []SnapshotIn, scheme Scheme
 				t.Fatalf("%v: snapshot %s matrix %s mismatch", scheme, snap.ID, name)
 			}
 		}
-	}
-}
-
-// rawPlanes flattens a snapshot retrieval at a prefix into comparable bytes.
-func rawPlanes(t *testing.T, st *Store, snapID string, prefix int, scheme Scheme) []byte {
-	t.Helper()
-	names, err := st.MatrixNames(snapID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	for _, name := range names {
-		m, err := st.GetMatrix(MatrixRef{Snapshot: snapID, Name: name}, prefix)
-		if scheme == Concurrent {
-			m, err = st.GetMatrixConcurrent(MatrixRef{Snapshot: snapID, Name: name}, prefix)
-		}
-		if err != nil {
-			t.Fatalf("%v: %s/%s prefix %d: %v", scheme, snapID, name, prefix, err)
-		}
-		seg := floatenc.Segment(m)
-		for p := 0; p < floatenc.NumPlanes; p++ {
-			buf.Write(seg.Planes[p])
-		}
-	}
-	return buf.Bytes()
-}
-
-// The acceptance bar: checkout of any snapshot is bit-identical between the
-// legacy and segment layouts, for every scheme and every prefix.
-func TestLayoutsBitIdentical(t *testing.T) {
-	snaps := makeSnaps(31, 4, 0)
-	legacyDir, segDir := t.TempDir(), t.TempDir()
-	if _, err := Create(legacyDir, snaps, Options{Layout: LayoutLegacy}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Create(segDir, snaps, Options{Layout: LayoutSegment}); err != nil {
-		t.Fatal(err)
-	}
-	lst, err := OpenWith(legacyDir, OpenOptions{KeepLegacy: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sst, err := Open(segDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lst.Layout() != LayoutLegacy || sst.Layout() != LayoutSegment {
-		t.Fatalf("layouts = %s / %s", lst.Layout(), sst.Layout())
-	}
-	for _, scheme := range []Scheme{Independent, Concurrent} {
-		for prefix := 1; prefix <= floatenc.NumPlanes; prefix++ {
-			for _, snap := range snaps {
-				a := rawPlanes(t, lst, snap.ID, prefix, scheme)
-				b := rawPlanes(t, sst, snap.ID, prefix, scheme)
-				if !bytes.Equal(a, b) {
-					t.Fatalf("%v: snapshot %s prefix %d differs between layouts", scheme, snap.ID, prefix)
-				}
-			}
-		}
-	}
-	for _, scheme := range []Scheme{Independent, Parallel, Reusable, Concurrent} {
-		checkoutAllExact(t, sst, snaps, scheme)
-	}
-}
-
-// A Version-1 archive must migrate in place on Open: chunks repack into
-// segments, the per-chunk files disappear, and every retrieval stays
-// bit-exact. A second Open must not migrate again.
-func TestMigrateLegacyRoundTrip(t *testing.T) {
-	// The CI layout matrix pins MODELHUB_PAS_LAYOUT=legacy, which would
-	// (correctly) suppress the migration this test is about.
-	t.Setenv("MODELHUB_PAS_LAYOUT", LayoutSegment)
-	snaps := makeSnaps(32, 3, 0)
-	dir := t.TempDir()
-	if _, err := Create(dir, snaps, Options{Layout: LayoutLegacy}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "chunks")); err != nil {
-		t.Fatalf("legacy archive missing chunks dir: %v", err)
-	}
-	obs.Enable() // counters are no-ops while metrics are disabled
-	migrations := mSegmentMigrations.Value()
-
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Layout() != LayoutSegment {
-		t.Fatalf("layout after migration = %s", st.Layout())
-	}
-	if mSegmentMigrations.Value() != migrations+1 {
-		t.Fatal("migration counter did not advance")
-	}
-	if _, err := os.Stat(filepath.Join(dir, "chunks")); !os.IsNotExist(err) {
-		t.Fatalf("legacy chunks dir survived migration: %v", err)
-	}
-	segs, err := filepath.Glob(filepath.Join(dir, segmentsDir, "seg-*.seg"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no segment files after migration: %v", err)
-	}
-	for _, scheme := range []Scheme{Independent, Parallel, Reusable, Concurrent} {
-		checkoutAllExact(t, st, snaps, scheme)
-	}
-
-	// Idempotent: reopening migrates nothing further.
-	st2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mSegmentMigrations.Value() != migrations+1 {
-		t.Fatal("second open migrated again")
-	}
-	checkoutAllExact(t, st2, snaps, Concurrent)
-}
-
-// KeepLegacy (and the legacy env default) must leave a Version-1 archive
-// untouched.
-func TestOpenKeepLegacyDoesNotMigrate(t *testing.T) {
-	snaps := makeSnaps(33, 2, 0)
-	dir := t.TempDir()
-	if _, err := Create(dir, snaps, Options{Layout: LayoutLegacy}); err != nil {
-		t.Fatal(err)
-	}
-	st, err := OpenWith(dir, OpenOptions{KeepLegacy: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Layout() != LayoutLegacy {
-		t.Fatalf("layout = %s, want legacy", st.Layout())
-	}
-	if _, err := os.Stat(filepath.Join(dir, segmentsDir)); !os.IsNotExist(err) {
-		t.Fatal("KeepLegacy open created a segments dir")
-	}
-	checkoutAllExact(t, st, snaps, Concurrent)
-}
-
-func TestCreateRejectsUnknownLayout(t *testing.T) {
-	if _, err := Create(t.TempDir(), makeSnaps(34, 1, 0), Options{Layout: "tape"}); !errors.Is(err, ErrStore) {
-		t.Fatalf("unknown layout = %v, want ErrStore", err)
 	}
 }
 
@@ -194,7 +52,7 @@ func frozenSnaps(seed int64, n int) []SnapshotIn {
 func TestSegmentDedupFrozenLayers(t *testing.T) {
 	snaps := frozenSnaps(35, 5)
 	dir := t.TempDir()
-	st, err := Create(dir, snaps, Options{Algorithm: "mst", Layout: LayoutSegment})
+	st, err := Create(dir, snaps, Options{Algorithm: "mst"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +67,7 @@ func TestSegmentDedupFrozenLayers(t *testing.T) {
 
 	// Re-archiving identical content must add no payload bytes at all.
 	before := st.SegmentDiskBytes()
-	st2, err := Create(dir, snaps, Options{Algorithm: "mst", Layout: LayoutSegment})
+	st2, err := Create(dir, snaps, Options{Algorithm: "mst"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,10 +83,10 @@ func TestSegmentDedupFrozenLayers(t *testing.T) {
 func TestCreateSegmentKeepsGarbageUntilGC(t *testing.T) {
 	snaps := makeSnaps(36, 5, 0)
 	dir := t.TempDir()
-	if _, err := Create(dir, snaps, Options{Layout: LayoutSegment}); err != nil {
+	if _, err := Create(dir, snaps, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Create(dir, snaps[:2], Options{Layout: LayoutSegment})
+	st, err := Create(dir, snaps[:2], Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +134,7 @@ func TestRepackCoalescesSegments(t *testing.T) {
 	dir := t.TempDir()
 	// Three appends → up to three segment files plus garbage.
 	for _, end := range []int{2, 3, 4} {
-		if _, err := Create(dir, snaps[:end], Options{Layout: LayoutSegment}); err != nil {
+		if _, err := Create(dir, snaps[:end], Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -312,10 +170,10 @@ func TestRepackCoalescesSegments(t *testing.T) {
 func TestGCConcurrentReaders(t *testing.T) {
 	snaps := makeSnaps(38, 6, 0)
 	dir := t.TempDir()
-	if _, err := Create(dir, snaps, Options{Layout: LayoutSegment}); err != nil {
+	if _, err := Create(dir, snaps, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Create(dir, snaps[:3], Options{Layout: LayoutSegment}); err != nil {
+	if _, err := Create(dir, snaps[:3], Options{}); err != nil {
 		t.Fatal(err)
 	}
 	st, err := Open(dir)
@@ -370,27 +228,12 @@ func TestGCConcurrentReaders(t *testing.T) {
 	}
 }
 
-func TestGCRequiresSegmentLayout(t *testing.T) {
-	snaps := makeSnaps(39, 2, 0)
-	dir := t.TempDir()
-	if _, err := Create(dir, snaps, Options{Layout: LayoutLegacy}); err != nil {
-		t.Fatal(err)
-	}
-	st, err := OpenWith(dir, OpenOptions{KeepLegacy: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.GC(); !errors.Is(err, ErrStore) {
-		t.Fatalf("GC on legacy layout = %v, want ErrStore", err)
-	}
-}
-
 // A missing or corrupted segments/index.json rebuilds from the segment
 // record headers on open — retrievals stay bit-exact either way.
 func TestSegmentIndexRebuild(t *testing.T) {
 	snaps := makeSnaps(40, 3, 0)
 	dir := t.TempDir()
-	if _, err := Create(dir, snaps, Options{Layout: LayoutSegment}); err != nil {
+	if _, err := Create(dir, snaps, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	idxPath := filepath.Join(dir, segmentsDir, segIndexName)
@@ -418,7 +261,7 @@ func TestSegmentIndexRebuild(t *testing.T) {
 func TestSegmentTruncationTypedErrors(t *testing.T) {
 	snaps := makeSnaps(41, 3, 0)
 	dir := t.TempDir()
-	if _, err := Create(dir, snaps, Options{Layout: LayoutSegment}); err != nil {
+	if _, err := Create(dir, snaps, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	segs, err := filepath.Glob(filepath.Join(dir, segmentsDir, "seg-*.seg"))
@@ -463,10 +306,10 @@ func TestSegmentTruncationTypedErrors(t *testing.T) {
 func TestGCRefusesCorruptedSegment(t *testing.T) {
 	snaps := makeSnaps(42, 4, 0)
 	dir := t.TempDir()
-	if _, err := Create(dir, snaps, Options{Layout: LayoutSegment}); err != nil {
+	if _, err := Create(dir, snaps, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Create(dir, snaps[:2], Options{Layout: LayoutSegment})
+	st, err := Create(dir, snaps[:2], Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,36 +334,5 @@ func TestGCRefusesCorruptedSegment(t *testing.T) {
 	}
 	if _, err := st.GC(); !errors.Is(err, ErrStore) || !strings.Contains(err.Error(), "checksum mismatch") {
 		t.Fatalf("GC over corrupted segment = %v, want ErrStore checksum mismatch", err)
-	}
-}
-
-// The layout env var steers both Create defaults and legacy migration.
-func TestLayoutEnvVar(t *testing.T) {
-	t.Setenv("MODELHUB_PAS_LAYOUT", LayoutLegacy)
-	snaps := makeSnaps(43, 2, 0)
-	dir := t.TempDir()
-	st, err := Create(dir, snaps, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Layout() != LayoutLegacy {
-		t.Fatalf("env-selected layout = %s, want legacy", st.Layout())
-	}
-	// Open must not migrate while the env pins legacy.
-	st2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.Layout() != LayoutLegacy {
-		t.Fatal("open migrated despite legacy env layout")
-	}
-
-	t.Setenv("MODELHUB_PAS_LAYOUT", "segment")
-	st3, err := Create(t.TempDir(), snaps, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st3.Layout() != LayoutSegment {
-		t.Fatalf("layout = %s, want segment", st3.Layout())
 	}
 }

@@ -69,17 +69,12 @@ type Options struct {
 	// compressible high planes ride delta chains while near-random low
 	// planes can materialize for cheap recreation. Requires XOR deltas.
 	PlaneGranularity bool
-	// Layout selects the on-disk archive layout: LayoutSegment (packed
-	// segment files with content-addressed dedup, the default) or
-	// LayoutLegacy (one file per chunk). Empty means DefaultLayout(), which
-	// honors the MODELHUB_PAS_LAYOUT environment variable.
-	Layout string
 	// Remote, when non-nil, adds a second storage option per candidate edge
 	// modelling a remote/cold tier: cheaper to keep, slower to read (paper
 	// Sec. IV-C: "one edge corresponding to a remote storage option, where
 	// the storage cost is lower and the recreation cost is higher"). The
-	// optimizer picks the tier per delta; remote chunks land under
-	// <dir>/remote/.
+	// optimizer picks the tier per delta; the tier is recorded per node in
+	// the manifest.
 	Remote *RemoteTier
 }
 
@@ -178,12 +173,10 @@ type planeKey struct {
 
 // Store is an opened parameter archive.
 type Store struct {
-	dir    string
-	man    manifest
-	layout int
+	dir string
+	man manifest
 
-	// seg serves chunk payloads under the segment layout (manifest
-	// Version 2); unused for legacy archives.
+	// seg serves chunk payloads out of the archive's segment files.
 	seg segReader
 
 	mu        sync.Mutex
@@ -407,15 +400,9 @@ func Create(dir string, snaps []SnapshotIn, opts Options) (*Store, error) {
 		return nil, err
 	}
 
-	layout, err := resolveLayout(opts.Layout)
-	if err != nil {
-		return nil, err
-	}
-
-	// Deflate the chosen plan's chunk payloads and build the manifest; the
-	// layout dispatch below decides where the payload bytes land.
+	// Deflate the chosen plan's chunk payloads and build the manifest.
 	man := manifest{
-		Version:     1,
+		Version:     2,
 		DeltaOp:     uint8(opts.DeltaOp),
 		Scheme:      int(opts.Scheme),
 		Algorithm:   opts.Algorithm,
@@ -424,12 +411,7 @@ func Create(dir string, snaps []SnapshotIn, opts Options) (*Store, error) {
 		SPTCost:     spt.StorageCost(),
 		Feasible:    feasible,
 	}
-	type chunkOut struct {
-		node, plane, tier int
-		sum               string
-		data              []byte
-	}
-	var chunks []chunkOut
+	var chunks []segPayload
 	for id := 1; id < len(cand.refs); id++ {
 		eid := plan.ParentEdge[id]
 		body := payloads[eid]
@@ -453,8 +435,7 @@ func Create(dir string, snaps []SnapshotIn, opts Options) (*Store, error) {
 			sum := sha256.Sum256(z)
 			mn.PlaneSum[p] = hex.EncodeToString(sum[:])
 			mn.PlaneBytes[p] = len(z)
-			chunks = append(chunks, chunkOut{node: id, plane: p, tier: mn.Tier,
-				sum: mn.PlaneSum[p], data: z})
+			chunks = append(chunks, segPayload{sum: mn.PlaneSum[p], data: z})
 		}
 		man.Nodes = append(man.Nodes, mn)
 	}
@@ -467,74 +448,19 @@ func Create(dir string, snaps []SnapshotIn, opts Options) (*Store, error) {
 		})
 	}
 
-	switch layout {
-	case layoutLegacy:
-		// One file per chunk, clearing any previous archive first (stale
-		// chunks from an earlier plan would otherwise linger unreferenced).
-		for _, sub := range []string{"chunks", "remote", segmentsDir} {
-			if err := os.RemoveAll(filepath.Join(dir, sub)); err != nil {
-				return nil, fmt.Errorf("%w: clearing old archive: %v", ErrStore, err)
-			}
-		}
-		if err := os.MkdirAll(filepath.Join(dir, "chunks"), 0o755); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrStore, err)
-		}
-		if opts.Remote != nil {
-			if err := os.MkdirAll(filepath.Join(dir, "remote"), 0o755); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrStore, err)
-			}
-		}
-		for _, c := range chunks {
-			if err := writeFileAtomic(chunkPath(dir, c.node, c.plane, c.tier), c.data); err != nil {
-				return nil, fmt.Errorf("%w: writing chunk: %v", ErrStore, err)
-			}
-		}
-	case layoutSegment:
-		// Payloads pack into segment files, deduplicated content-addressed
-		// against anything already stored in the directory: re-archiving
-		// appends only payloads the index has never seen, and the displaced
-		// older ones become garbage for the next GC.
-		for _, sub := range []string{"chunks", "remote"} {
-			if err := os.RemoveAll(filepath.Join(dir, sub)); err != nil {
-				return nil, fmt.Errorf("%w: clearing old archive: %v", ErrStore, err)
-			}
-		}
-		if err := os.MkdirAll(filepath.Join(dir, segmentsDir), 0o755); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrStore, err)
-		}
-		idx := loadOrInitSegIndex(dir)
-		seen := make(map[string]bool, len(chunks))
-		var fresh []segPayload
-		for _, c := range chunks {
-			if _, ok := idx.Chunks[c.sum]; ok || seen[c.sum] {
-				mSegmentDedupHits.Inc()
-				mSegmentDedupBytes.Add(int64(len(c.data)))
-				continue
-			}
-			seen[c.sum] = true
-			fresh = append(fresh, segPayload{sum: c.sum, data: c.data})
-		}
-		infos, locs, err := writeSegments(dir, idx, fresh)
-		if err != nil {
-			return nil, fmt.Errorf("%w: writing segments: %v", ErrStore, err)
-		}
-		base := len(idx.Segments)
-		idx.Segments = append(idx.Segments, infos...)
-		for sum, loc := range locs {
-			loc.Seg += base
-			idx.Chunks[sum] = loc
-		}
-		if err := saveSegIndex(dir, idx); err != nil {
-			return nil, err
-		}
-		man.Version = 2
+	// Re-archiving appends only payloads the index has never seen; the
+	// displaced older ones become garbage for the next GC.
+	if _, err := appendSegments(dir, chunks); err != nil {
+		return nil, err
 	}
 	if err := writeManifest(dir, &man); err != nil {
 		return nil, err
 	}
-	// KeepLegacy: a deliberately legacy-layout archive must not migrate
-	// right back on this open.
-	return OpenWith(dir, OpenOptions{KeepLegacy: layout == layoutLegacy})
+	// Open sweeps the per-chunk directories of a Version-1 archive this
+	// call replaced (reconcileSegmentDir). That runs only after the manifest
+	// commit above, so a Create that fails earlier leaves the old archive
+	// readable.
+	return Open(dir)
 }
 
 // writeManifest persists the manifest atomically (temp + fsync + rename +
@@ -604,67 +530,82 @@ func solve(g *Graph, opts Options) (*Plan, bool, error) {
 	}
 }
 
-// Open loads an existing archive. Version-1 (one file per chunk) archives
-// migrate in place to the segment layout unless MODELHUB_PAS_LAYOUT selects
-// the legacy layout.
+// Open loads an existing archive. A Version-1 archive (one file per chunk
+// under chunks/ and remote/) migrates in place to the segment layout, once.
 func Open(dir string) (*Store, error) {
-	return OpenWith(dir, OpenOptions{})
-}
-
-// OpenOptions control Open behavior for tests and tooling.
-type OpenOptions struct {
-	// KeepLegacy opens a Version-1 per-chunk archive as-is instead of
-	// migrating it to the segment layout.
-	KeepLegacy bool
-}
-
-// OpenWith is Open with explicit control over legacy migration.
-func OpenWith(dir string, o OpenOptions) (*Store, error) {
 	blob, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrStore, err)
 	}
-	var man manifest
-	if err := json.Unmarshal(blob, &man); err != nil {
-		return nil, fmt.Errorf("%w: manifest: %v", ErrStore, err)
+	man, err := parseManifest(blob)
+	if err != nil {
+		return nil, err
 	}
-	switch man.Version {
-	case 1:
-		if o.KeepLegacy || DefaultLayout() == LayoutLegacy {
-			return newStore(dir, &man, layoutLegacy), nil
-		}
-		if err := migrateLegacy(dir, &man); err != nil {
+	if man.Version == 1 {
+		if err := migrateLegacy(dir, man); err != nil {
 			return nil, err
 		}
-	case 2:
+	} else {
 		reconcileSegmentDir(dir)
-	default:
-		return nil, fmt.Errorf("%w: unsupported manifest version %d", ErrStore, man.Version)
 	}
 	idx, err := loadSegIndex(dir)
 	if err != nil {
 		return nil, err
 	}
-	s := newStore(dir, &man, layoutSegment)
-	s.seg.idx = idx
-	noteSegmentGauges(idx)
-	return s, nil
-}
-
-func newStore(dir string, man *manifest, layout int) *Store {
-	s := &Store{dir: dir, man: *man, layout: layout,
+	s := &Store{dir: dir, man: *man,
 		cache:     make(map[planeKey]*[4][]byte),
 		fullCache: make(map[int]*tensor.Matrix),
 		byRef:     make(map[MatrixRef][]int),
 		eng:       newEngine()}
-	s.seg.dir = dir
+	s.seg.dir, s.seg.idx = dir, idx
 	s.seg.files = make(map[string]*os.File)
 	for _, n := range man.Nodes {
 		s.byRef[n.Ref] = append(s.byRef[n.Ref], n.ID)
 	}
-	return s
+	noteSegmentGauges(idx)
+	return s, nil
 }
 
+// parseManifest decodes and validates a manifest blob: a supported version,
+// and node fields that retrieval, migration and GC can index with without
+// panicking. Ids are unique and >= 1, the stored plane range lies within
+// [0, 4), shapes are non-negative, the tier is local or remote, and every
+// parent is 0 (materialized) or a known node. Bad input yields ErrStore.
+func parseManifest(blob []byte) (*manifest, error) {
+	var man manifest
+	if err := json.Unmarshal(blob, &man); err != nil {
+		return nil, fmt.Errorf("%w: manifest: %v", ErrStore, err)
+	}
+	if man.Version != 1 && man.Version != 2 {
+		return nil, fmt.Errorf("%w: unsupported manifest version %d", ErrStore, man.Version)
+	}
+	ids := make(map[int]bool, len(man.Nodes))
+	for _, n := range man.Nodes {
+		if n.ID < 1 || ids[n.ID] {
+			return nil, fmt.Errorf("%w: manifest: bad or duplicate node id %d", ErrStore, n.ID)
+		}
+		ids[n.ID] = true
+	}
+	for i := range man.Nodes {
+		n := &man.Nodes[i]
+		start, end := nodePlanes(n)
+		switch {
+		case n.PlaneEnd == 0 && n.PlaneStart != 0,
+			start < 0 || start >= end || end > floatenc.NumPlanes:
+			return nil, fmt.Errorf("%w: manifest: node %d plane range [%d, %d)", ErrStore, n.ID, n.PlaneStart, n.PlaneEnd)
+		case n.Rows < 0 || n.Cols < 0:
+			return nil, fmt.Errorf("%w: manifest: node %d shape %dx%d", ErrStore, n.ID, n.Rows, n.Cols)
+		case n.Tier != tierLocal && n.Tier != tierRemote:
+			return nil, fmt.Errorf("%w: manifest: node %d tier %d", ErrStore, n.ID, n.Tier)
+		case n.Parent != 0 && !ids[n.Parent]:
+			return nil, fmt.Errorf("%w: manifest: node %d parent %d unknown", ErrStore, n.ID, n.Parent)
+		}
+	}
+	return &man, nil
+}
+
+// chunkPath names a Version-1 archive's per-chunk payload file; only the
+// one-shot migration reads these.
 func chunkPath(dir string, node, plane, tier int) string {
 	sub := "chunks"
 	if tier == tierRemote {
@@ -736,19 +677,9 @@ func nodePlanes(n *manifestNode) (int, int) {
 	return n.PlaneStart, n.PlaneEnd
 }
 
-// readChunk fetches the compressed payload of one stored plane from
-// whichever layout the archive uses; readPlane verifies it.
-func (s *Store) readChunk(n *manifestNode, p int) ([]byte, error) {
-	if s.layout == layoutSegment {
-		return s.seg.read(n.PlaneSum[p])
-	}
-	mChunkOpens.Inc()
-	return os.ReadFile(chunkPath(s.dir, n.ID, p, n.Tier))
-}
-
 // readPlane loads, verifies and inflates one stored byte plane of a node.
 func (s *Store) readPlane(n *manifestNode, p int) ([]byte, error) {
-	z, err := s.readChunk(n, p)
+	z, err := s.seg.read(n.PlaneSum[p])
 	if err != nil {
 		return nil, fmt.Errorf("%w: reading chunk for node %d plane %d: %v", ErrStore, n.ID, p, err)
 	}

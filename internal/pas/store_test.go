@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -14,7 +13,9 @@ import (
 )
 
 // makeSnaps builds a chain of drifting snapshots, mimicking training
-// checkpoints: each snapshot perturbs the previous one slightly.
+// checkpoints: each snapshot perturbs the previous one slightly. Matrices
+// are perturbed in sorted name order, so equal arguments give bit-identical
+// snapshots on every call (the golden v1 fixture depends on it).
 func makeSnaps(seed int64, nSnaps int, budget float64) []SnapshotIn {
 	rng := rand.New(rand.NewSource(seed))
 	base := map[string]*tensor.Matrix{
@@ -26,8 +27,8 @@ func makeSnaps(seed int64, nSnaps int, budget float64) []SnapshotIn {
 	cur := base
 	for i := 0; i < nSnaps; i++ {
 		snap := SnapshotIn{ID: string(rune('a' + i)), Matrices: map[string]*tensor.Matrix{}, Budget: budget}
-		for name, m := range cur {
-			snap.Matrices[name] = m.Perturb(rng, 1e-3)
+		for _, name := range sortedKeys(cur) {
+			snap.Matrices[name] = cur[name].Perturb(rng, 1e-3)
 		}
 		snaps = append(snaps, snap)
 		cur = snap.Matrices
@@ -198,8 +199,8 @@ func TestStoreCorruptChunkDetected(t *testing.T) {
 	if _, err := Create(dir, snaps, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	// Flip a payload byte in some chunk file (layout-agnostic: the last
-	// byte of a payload file is chunk data under both layouts).
+	// Flip a payload byte in a segment file (the last byte of a segment is
+	// always record payload).
 	matches := chunkFiles(t, dir)
 	blob, err := os.ReadFile(matches[0])
 	if err != nil {
@@ -443,40 +444,6 @@ func TestStoreConcurrentRetrieval(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-// TestCreateClearsStaleChunks pins the legacy layout: per-chunk files are
-// deleted eagerly on re-archive. The segment layout instead keeps displaced
-// payloads as garbage until GC (TestCreateSegmentKeepsGarbageUntilGC).
-func TestCreateClearsStaleChunks(t *testing.T) {
-	snaps := makeSnaps(60, 4, 0)
-	dir := t.TempDir()
-	if _, err := Create(dir, snaps, Options{Algorithm: "spt", Layout: LayoutLegacy}); err != nil {
-		t.Fatal(err)
-	}
-	big, err := filepath.Glob(filepath.Join(dir, "chunks", "*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Re-archive just the first two snapshots: old chunks must be gone.
-	st, err := Create(dir, snaps[:2], Options{Algorithm: "mst", Layout: LayoutLegacy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	small, err := filepath.Glob(filepath.Join(dir, "chunks", "*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(small) >= len(big) {
-		t.Fatalf("stale chunks left behind: %d -> %d", len(big), len(small))
-	}
-	got, err := st.GetSnapshot("b", 4, Independent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got["ip1"].Equal(snaps[1].Matrices["ip1"]) {
-		t.Fatal("re-archived store must still serve exact matrices")
-	}
 }
 
 func TestSnapshotCostsExplain(t *testing.T) {

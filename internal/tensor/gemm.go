@@ -23,7 +23,7 @@ import (
 // workers therefore steal work a static band split would have stranded on
 // slow or preempted ones. Cache-blocking depth (the k panel) is autotuned
 // from the multiply's column width against an L2 budget instead of a fixed
-// constant; SetGemmKC pins it for experiments.
+// constant.
 
 const (
 	// gemmL2Bytes is the per-core L2 budget the k-panel autotuner targets.
@@ -87,32 +87,13 @@ func GemmWorkers() int {
 	return v
 }
 
-// gemmKCOverride pins the k-blocking depth for experiments; 0 = autotune.
-var gemmKCOverride atomic.Int32
-
-// SetGemmKC pins the k-blocking depth (panel height) and returns the
-// previous override. kc <= 0 restores autotuning; kc > 1024 clamps to 1024.
-// Blocking depth never changes results — each element's k-summation stays in
-// ascending order across panel boundaries — so this is purely a performance
-// knob.
-func SetGemmKC(kc int) int {
-	if kc < 0 {
-		kc = 0
-	}
-	if kc > gemmKCMax {
-		kc = gemmKCMax
-	}
-	return int(gemmKCOverride.Swap(int32(kc)))
-}
-
 // gemmKCFor autotunes the k-blocking depth for an n-column multiply: the
 // streamed B panel (kc × n float32) targets half the per-core L2 budget so
 // it stays resident while a band of C rows streams over it. Narrow outputs
-// get deeper panels, wide ones shallower, clamped to [64, 1024].
+// get deeper panels, wide ones shallower, clamped to [64, 1024]. Blocking
+// depth never changes results — each element's k-summation stays in
+// ascending order across panel boundaries.
 func gemmKCFor(n int) int {
-	if v := gemmKCOverride.Load(); v > 0 {
-		return int(v)
-	}
 	kc := gemmL2Bytes / 2 / 4 / n
 	if kc < gemmKCMin {
 		kc = gemmKCMin

@@ -255,18 +255,10 @@ func TestSetGemmWorkersClamp(t *testing.T) {
 	}
 }
 
-// TestSetGemmKCClamp pins the blocking-depth override rules: 0 restores
-// autotuning, oversized values clamp to 1024, and the autotuned depth stays
-// within [64, 1024] across output widths.
-func TestSetGemmKCClamp(t *testing.T) {
-	prev := SetGemmKC(0)
-	defer SetGemmKC(prev)
-
-	SetGemmKC(1 << 20)
-	if got := gemmKCFor(8); got != 1024 {
-		t.Fatalf("pinned kc = %d, want 1024", got)
-	}
-	SetGemmKC(0)
+// TestGemmKCAutotune pins the blocking-depth autotuner: the depth stays
+// within [64, 1024] across output widths and never shrinks as outputs
+// narrow.
+func TestGemmKCAutotune(t *testing.T) {
 	for _, n := range []int{1, 8, 64, 512, 4096, 1 << 20} {
 		kc := gemmKCFor(n)
 		if kc < 64 || kc > 1024 {
@@ -279,16 +271,12 @@ func TestSetGemmKCClamp(t *testing.T) {
 	}
 }
 
-// TestSetGemmWorkersConcurrent hammers the worker and KC knobs from many
-// goroutines while kernels run, asserting (under -race) that tuning is safe
-// mid-flight and that every result stays bit-identical to the reference.
+// TestSetGemmWorkersConcurrent hammers the worker knob from many goroutines
+// while kernels run, asserting (under -race) that tuning is safe mid-flight
+// and that every result stays bit-identical to the reference.
 func TestSetGemmWorkersConcurrent(t *testing.T) {
-	prevW := SetGemmWorkers(0)
-	prevKC := SetGemmKC(0)
-	defer func() {
-		SetGemmWorkers(prevW)
-		SetGemmKC(prevKC)
-	}()
+	prev := SetGemmWorkers(0)
+	defer SetGemmWorkers(prev)
 
 	rng := rand.New(rand.NewSource(17))
 	a := randMat(rng, 48, 40)
@@ -306,7 +294,6 @@ func TestSetGemmWorkersConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
 				SetGemmWorkers((g+i)%7 - 1) // sweeps -1..5, exercising the clamp
-				SetGemmKC((i % 3) * 128)
 				got := NewMatrix(48, 52)
 				if err := Gemm(got, a, b); err != nil {
 					errc <- err
