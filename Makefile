@@ -45,6 +45,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentIndex -fuzztime=$(FUZZTIME) ./internal/pas
 	$(GO) test -run='^$$' -fuzz=FuzzOpenManifest -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x ./internal/pas
 	$(GO) test -run='^$$' -fuzz=FuzzLintDirectiveAndBaseline -fuzztime=$(FUZZTIME) ./internal/lint
+	$(GO) test -run='^$$' -fuzz=FuzzIntervalMatchesReference -fuzztime=$(FUZZTIME) ./internal/perturb
 
 # End-to-end observability check: start modelhub-server -metrics, publish +
 # pull a tiny archived repo, scrape /metrics, assert well-formed JSON with
@@ -92,7 +93,7 @@ help:
 	@echo "lint-baseline - regenerate lint.baseline.json from current findings"
 	@echo "test        - go test ./..."
 	@echo "test-race   - go test -race ./..."
-	@echo "fuzz-smoke  - short fuzz runs incl. the PAS manifest decoder (FUZZTIME=$(FUZZTIME))"
+	@echo "fuzz-smoke  - short fuzz runs incl. the PAS manifest decoder and interval engine (FUZZTIME=$(FUZZTIME))"
 	@echo "obs-smoke   - live /metrics + pprof scrape against a real server"
 	@echo "cluster-smoke - gateway + 3-replica failure drill with anti-entropy repair"
 	@echo "bench       - run all benchmarks once"

@@ -593,7 +593,9 @@ func BenchmarkConvForward(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.ForwardBatch(batchIn)
+		for _, in := range batchIn {
+			net.Forward(in)
+		}
 	}
 }
 

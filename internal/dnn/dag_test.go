@@ -124,7 +124,7 @@ func TestDAGGradientCheck(t *testing.T) {
 			label := 1
 			lossAt := func() float64 {
 				logits := n.Logits(in)
-				probs := Softmax(logits.Data)
+				probs := softmax(logits.Data)
 				return -math.Log(math.Max(float64(probs[label]), 1e-12))
 			}
 			n.ZeroGrads()

@@ -43,14 +43,10 @@ func buildLayer(spec LayerSpec, in Shape) (runtimeLayer, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &convLayer{layerBase: base, stride: stride,
+		return &convLayer{layerBase: base, stride: spec.stride(),
 			w: tensor.NewMatrix(rows, cols), g: tensor.NewMatrix(rows, cols)}, nil
 	case KindPool:
-		stride := spec.Stride
-		if stride == 0 {
-			stride = spec.K
-		}
-		return &poolLayer{layerBase: base, stride: stride}, nil
+		return &poolLayer{layerBase: base, stride: spec.stride()}, nil
 	case KindFull:
 		rows, cols, err := spec.ParamShape(in)
 		if err != nil {
@@ -178,66 +174,64 @@ func (l *poolLayer) release() {
 
 func (l *poolLayer) Forward(in *Volume) *Volume {
 	l.lastIn = in
-	// Every output element (and argmax entry) is assigned below.
+	// Every output element (and argmax entry) is assigned by pool.
 	out := scratchVolume(&l.outBuf, l.out, false)
-	k := l.spec.K
-	isMax := l.spec.Mode == PoolMax
-	if isMax {
+	if l.spec.Mode == PoolMax {
 		if sz := l.out.Size(); cap(l.argmax) >= sz {
 			l.argmax = l.argmax[:sz]
 		} else {
 			l.argmax = make([]int, sz)
 		}
 	}
+	pool(l.spec.Mode, l.spec.K, l.stride, in, out, l.argmax)
+	return out
+}
+
+// pool writes the max or average of every k×k window of in (no padding;
+// windows are clipped at the far borders) into out. Max pooling records
+// the chosen input index per output element in argmax unless it is nil.
+// Both are monotone in every input, so the interval forward runs pool on
+// each bound.
+func pool(mode string, k, stride int, in, out *Volume, argmax []int) {
 	oi := 0
-	for c := 0; c < l.out.C; c++ {
-		for oy := 0; oy < l.out.H; oy++ {
-			for ox := 0; ox < l.out.W; ox++ {
-				if isMax {
-					best := float32(math.Inf(-1))
-					bestIdx := -1
-					for ky := 0; ky < k; ky++ {
-						iy := oy*l.stride + ky
-						if iy >= l.in.H {
+	for c := 0; c < out.Shape.C; c++ {
+		for oy := 0; oy < out.Shape.H; oy++ {
+			for ox := 0; ox < out.Shape.W; ox++ {
+				best := float32(math.Inf(-1))
+				bestIdx := -1
+				var sum float32
+				n := 0
+				for ky := 0; ky < k; ky++ {
+					iy := oy*stride + ky
+					if iy >= in.Shape.H {
+						continue
+					}
+					for kx := 0; kx < k; kx++ {
+						ix := ox*stride + kx
+						if ix >= in.Shape.W {
 							continue
 						}
-						for kx := 0; kx < k; kx++ {
-							ix := ox*l.stride + kx
-							if ix >= l.in.W {
-								continue
-							}
-							idx := (c*l.in.H+iy)*l.in.W + ix
-							if v := in.Data[idx]; v > best {
-								best, bestIdx = v, idx
-							}
+						idx := (c*in.Shape.H+iy)*in.Shape.W + ix
+						v := in.Data[idx]
+						if v > best {
+							best, bestIdx = v, idx
 						}
+						sum += v
+						n++
 					}
+				}
+				if mode == PoolMax {
 					out.Data[oi] = best
-					l.argmax[oi] = bestIdx
-				} else {
-					var sum float32
-					n := 0
-					for ky := 0; ky < k; ky++ {
-						iy := oy*l.stride + ky
-						if iy >= l.in.H {
-							continue
-						}
-						for kx := 0; kx < k; kx++ {
-							ix := ox*l.stride + kx
-							if ix >= l.in.W {
-								continue
-							}
-							sum += in.At(c, iy, ix)
-							n++
-						}
+					if argmax != nil {
+						argmax[oi] = bestIdx
 					}
+				} else {
 					out.Data[oi] = sum / float32(n)
 				}
 				oi++
 			}
 		}
 	}
-	return out
 }
 
 func (l *poolLayer) Backward(dOut *Volume) *Volume {
@@ -352,29 +346,34 @@ func (l *actLayer) release() {
 }
 
 func (l *actLayer) Forward(in *Volume) *Volume {
-	// Each branch assigns every element (ReLU writes explicit zeros), so the
-	// reused buffer needs no clearing.
-	out := scratchVolume(&l.outBuf, l.out, false)
-	switch l.spec.Kind {
+	out := scratchVolume(&l.outBuf, l.out, false) // activate assigns all
+	activate(l.spec.Kind, in.Data, out.Data)
+	l.lastOut = out
+	return out
+}
+
+// activate applies the elementwise activation kind (ReLU, sigmoid or tanh)
+// to in, writing every element of out. All three are monotone, so the
+// interval forward runs activate on each bound.
+func activate(kind string, in, out []float32) {
+	switch kind {
 	case KindReLU:
-		for i, v := range in.Data {
+		for i, v := range in {
 			if v > 0 {
-				out.Data[i] = v
+				out[i] = v
 			} else {
-				out.Data[i] = 0
+				out[i] = 0
 			}
 		}
 	case KindSigmoid:
-		for i, v := range in.Data {
-			out.Data[i] = float32(1 / (1 + math.Exp(-float64(v))))
+		for i, v := range in {
+			out[i] = float32(1 / (1 + math.Exp(-float64(v))))
 		}
 	case KindTanh:
-		for i, v := range in.Data {
-			out.Data[i] = float32(math.Tanh(float64(v)))
+		for i, v := range in {
+			out[i] = float32(math.Tanh(float64(v)))
 		}
 	}
-	l.lastOut = out
-	return out
 }
 
 func (l *actLayer) Backward(dOut *Volume) *Volume {
@@ -433,13 +432,6 @@ func softmaxInto(dst, logits []float32) {
 	for i := range dst {
 		dst[i] = float32(float64(dst[i]) / sum)
 	}
-}
-
-// Softmax computes the softmax of logits into a new slice.
-func Softmax(logits []float32) []float32 {
-	out := make([]float32, len(logits))
-	softmaxInto(out, logits)
-	return out
 }
 
 func (l *softmaxLayer) Forward(in *Volume) *Volume {

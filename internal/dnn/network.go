@@ -15,17 +15,10 @@ import (
 // through the same executor. Forward/Backward cache state, so a Network is
 // not safe for concurrent use.
 type Network struct {
-	Def *NetDef
-	// order is the node execution order (topological).
-	order []string
-	specs map[string]LayerSpec
-	// preds lists each node's predecessors in edge-declaration order
-	// (which fixes the channel order of concat merges).
-	preds             map[string][]string
-	layers            map[string]runtimeLayer // ordinary (non-merge) nodes only
-	inShape, outShape map[string]Shape
-	source, sink      string
-	layerList         []runtimeLayer // ordinary layers in execution order
+	Def       *NetDef
+	*graph                            // topology and node shapes (graph.go)
+	layers    map[string]runtimeLayer // ordinary (non-merge) nodes only
+	layerList []runtimeLayer          // ordinary layers in execution order
 	// fwd caches node outputs of the latest forward pass for gradient
 	// routing through merge nodes.
 	fwd map[string]*Volume
@@ -43,59 +36,27 @@ type Network struct {
 // Xavier initialization from rng (pass a deterministic source for
 // reproducible experiments).
 func Build(def *NetDef, rng *rand.Rand) (*Network, error) {
-	if err := def.Validate(); err != nil {
-		return nil, err
-	}
-	order, err := def.TopoOrder()
+	g, err := newGraph(def)
 	if err != nil {
 		return nil, err
 	}
+	if last := g.outShape[g.sink]; def.Labels > 0 && last.Size() != def.Labels {
+		return nil, fmt.Errorf("%w: final layer produces %d outputs, want %d labels", ErrNetDef, last.Size(), def.Labels)
+	}
 	n := &Network{
 		Def:      def,
-		order:    order,
-		specs:    map[string]LayerSpec{},
-		preds:    map[string][]string{},
+		graph:    g,
 		layers:   map[string]runtimeLayer{},
-		inShape:  map[string]Shape{},
-		outShape: map[string]Shape{},
 		fwd:      map[string]*Volume{},
 		mergeBuf: map[string]*Volume{},
 		bwdBuf:   map[string]*Volume{},
 	}
-	for _, l := range def.Nodes {
-		n.specs[l.Name] = l
-		n.preds[l.Name] = def.Prev(l.Name)
-	}
-	// Exactly one source (receives the network input) and one sink (the
-	// prediction output).
-	var sources, sinks []string
-	for _, name := range order {
-		if len(n.preds[name]) == 0 {
-			sources = append(sources, name)
-		}
-		if len(def.Next(name)) == 0 {
-			sinks = append(sinks, name)
-		}
-	}
-	if len(sources) != 1 || len(sinks) != 1 {
-		return nil, fmt.Errorf("%w: runtime needs exactly one source and one sink, got %d/%d",
-			ErrNetDef, len(sources), len(sinks))
-	}
-	n.source, n.sink = sources[0], sinks[0]
-
-	netIn := Shape{C: def.InC, H: def.InH, W: def.InW}
-	for _, name := range order {
-		spec := n.specs[name]
-		in, err := n.mergeInputShape(name, netIn)
-		if err != nil {
-			return nil, err
-		}
-		n.inShape[name] = in
+	for _, name := range g.order {
+		spec := g.specs[name]
 		if spec.Kind == KindAdd || spec.Kind == KindConcat {
-			n.outShape[name] = in
 			continue
 		}
-		l, err := buildLayer(spec, in)
+		l, err := buildLayer(spec, g.inShape[name])
 		if err != nil {
 			return nil, err
 		}
@@ -111,90 +72,25 @@ func Build(def *NetDef, rng *rand.Rand) (*Network, error) {
 		}
 		n.layers[name] = l
 		n.layerList = append(n.layerList, l)
-		n.outShape[name] = l.OutShape()
-	}
-	if last := n.outShape[n.sink]; def.Labels > 0 && last.Size() != def.Labels {
-		return nil, fmt.Errorf("%w: final layer produces %d outputs, want %d labels", ErrNetDef, last.Size(), def.Labels)
 	}
 	return n, nil
-}
-
-// mergeInputShape resolves the input shape of a node from its predecessors'
-// output shapes (or the network input for the source).
-func (n *Network) mergeInputShape(name string, netIn Shape) (Shape, error) {
-	preds := n.preds[name]
-	spec := n.specs[name]
-	switch {
-	case len(preds) == 0:
-		return netIn, nil
-	case len(preds) == 1:
-		return n.outShape[preds[0]], nil
-	case spec.Kind == KindAdd:
-		first := n.outShape[preds[0]]
-		for _, p := range preds[1:] {
-			if n.outShape[p] != first {
-				return Shape{}, fmt.Errorf("%w: add node %q inputs %v and %v differ",
-					ErrNetDef, name, first, n.outShape[p])
-			}
-		}
-		return first, nil
-	case spec.Kind == KindConcat:
-		first := n.outShape[preds[0]]
-		total := 0
-		for _, p := range preds {
-			s := n.outShape[p]
-			if s.H != first.H || s.W != first.W {
-				return Shape{}, fmt.Errorf("%w: concat node %q spatial extents %v and %v differ",
-					ErrNetDef, name, first, s)
-			}
-			total += s.C
-		}
-		return Shape{C: total, H: first.H, W: first.W}, nil
-	default:
-		return Shape{}, fmt.Errorf("%w: node %q (%s) has %d inputs; only add/concat merge",
-			ErrNetDef, name, spec.Kind, len(preds))
-	}
 }
 
 // Layers returns the runtime layers (merge nodes excluded) in execution
 // order.
 func (n *Network) Layers() []runtimeLayer { return n.layerList }
 
-// nodeInput assembles a node's input volume from the forward cache.
-func (n *Network) nodeInput(name string, in *Volume) *Volume {
-	preds := n.preds[name]
-	switch {
-	case len(preds) == 0:
-		return in
-	case len(preds) == 1:
-		return n.fwd[preds[0]]
-	case n.specs[name].Kind == KindAdd:
-		// Copy the first predecessor, then add the rest: identical sums to
-		// zero-then-accumulate, with no zero-on-reuse needed.
-		out := scratchMapVolume(n.mergeBuf, name, n.inShape[name], false)
-		copy(out.Data, n.fwd[preds[0]].Data)
-		for _, p := range preds[1:] {
-			for i, v := range n.fwd[p].Data {
-				out.Data[i] += v
-			}
-		}
-		return out
-	default: // concat — predecessor spans cover the whole buffer
-		out := scratchMapVolume(n.mergeBuf, name, n.inShape[name], false)
-		off := 0
-		for _, p := range preds {
-			copy(out.Data[off:], n.fwd[p].Data)
-			off += n.fwd[p].Shape.Size()
-		}
-		return out
-	}
+// mergeVolume is the persistent merge buffer of node name (scratch.go);
+// nodeInput assigns every element, so reuse needs no zeroing.
+func (n *Network) mergeVolume(name string) *Volume {
+	return scratchMapVolume(n.mergeBuf, name, n.inShape[name], false)
 }
 
 // forwardUpTo runs nodes in order, stopping after `stop` (inclusive), and
 // returns its output.
 func (n *Network) forwardUpTo(in *Volume, stop string) *Volume {
 	for _, name := range n.order {
-		x := n.nodeInput(name, in)
+		x := n.nodeInput(name, in, n.fwd, n.mergeVolume)
 		if l, ok := n.layers[name]; ok {
 			x = l.Forward(x)
 		}
@@ -214,22 +110,11 @@ func (n *Network) Forward(in *Volume) *Volume {
 	return n.forwardUpTo(in, n.sink).Clone()
 }
 
-// logitsNode is where the fused softmax-cross-entropy loss attaches: the
-// sink, or its predecessor when the sink is a softmax layer.
-func (n *Network) logitsNode() string {
-	if n.specs[n.sink].Kind == KindSoftmax {
-		if preds := n.preds[n.sink]; len(preds) == 1 {
-			return preds[0]
-		}
-	}
-	return n.sink
-}
-
 // Logits runs the DAG but stops before a trailing softmax layer, returning
 // raw scores — what the fused softmax-cross-entropy loss consumes. Like
 // Forward, the returned volume is a caller-owned copy.
 func (n *Network) Logits(in *Volume) *Volume {
-	return n.forwardUpTo(in, n.logitsNode()).Clone()
+	return n.forwardUpTo(in, n.logits).Clone()
 }
 
 // Predict returns the argmax label for an input.
@@ -244,33 +129,11 @@ func (n *Network) Predict(in *Volume) int {
 	return bi
 }
 
-// ForwardBatch runs the full DAG on each input in order and returns the
-// outputs. Layer-internal scratch (conv column buffers) is allocated once on
-// the first example and reused for the rest, so batched evaluation amortizes
-// buffer setup that per-call users pay every time.
-func (n *Network) ForwardBatch(ins []*Volume) []*Volume {
-	outs := make([]*Volume, len(ins))
-	for i, in := range ins {
-		outs[i] = n.Forward(in)
-	}
-	return outs
-}
-
-// PredictBatch returns the argmax label for each input, reusing layer
-// buffers across the batch (see ForwardBatch).
-func (n *Network) PredictBatch(ins []*Volume) []int {
-	labels := make([]int, len(ins))
-	for i, in := range ins {
-		labels[i] = n.Predict(in)
-	}
-	return labels
-}
-
 // LossAndBackward computes softmax cross-entropy loss of the input against
 // the true label and backpropagates, accumulating weight gradients. It
 // returns the loss and whether the prediction was correct.
 func (n *Network) LossAndBackward(in *Volume, label int) (loss float64, correct bool) {
-	logitsNode := n.logitsNode()
+	logitsNode := n.logits
 	logits := n.forwardUpTo(in, logitsNode)
 	if cap(n.probs) < len(logits.Data) {
 		n.probs = make([]float32, len(logits.Data))

@@ -6,6 +6,13 @@ import (
 	"testing"
 )
 
+// softmax computes the softmax of logits into a new slice.
+func softmax(logits []float32) []float32 {
+	out := make([]float32, len(logits))
+	softmaxInto(out, logits)
+	return out
+}
+
 func buildLenet(t *testing.T) *Network {
 	t.Helper()
 	n, err := Build(lenetDef(), rand.New(rand.NewSource(1)))
@@ -144,7 +151,7 @@ func TestGradientCheck(t *testing.T) {
 
 	lossAt := func() float64 {
 		logits := n.Logits(in)
-		probs := Softmax(logits.Data)
+		probs := softmax(logits.Data)
 		return -math.Log(math.Max(float64(probs[label]), 1e-12))
 	}
 
@@ -197,9 +204,9 @@ func TestSoftmaxBackwardMatchesFiniteDiff(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		bump := in.Clone()
 		bump.Data[i] += eps
-		up := Softmax(bump.Data)
+		up := softmax(bump.Data)
 		bump.Data[i] -= 2 * eps
-		down := Softmax(bump.Data)
+		down := softmax(bump.Data)
 		var numeric float64
 		for j := range up {
 			numeric += float64(dOut.Data[j]) * float64(up[j]-down[j]) / (2 * eps)
@@ -211,7 +218,7 @@ func TestSoftmaxBackwardMatchesFiniteDiff(t *testing.T) {
 }
 
 func TestSoftmaxStability(t *testing.T) {
-	out := Softmax([]float32{1000, 999, 998})
+	out := softmax([]float32{1000, 999, 998})
 	for _, v := range out {
 		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
 			t.Fatal("softmax must be stable for large logits")

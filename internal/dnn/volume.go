@@ -53,28 +53,33 @@ func outDim(in, k, stride, pad int) int {
 	return (in+2*pad-k)/stride + 1
 }
 
+// stride is the window step of a conv or pool layer: Stride, or when that
+// is unset 1 for conv and the window size for pool.
+func (l LayerSpec) stride() int {
+	switch {
+	case l.Stride != 0:
+		return l.Stride
+	case l.Kind == KindPool:
+		return l.K
+	default:
+		return 1
+	}
+}
+
 // OutShape computes the output shape of a layer spec applied to input shape
 // in, or an error if the configuration cannot apply.
 func (l LayerSpec) OutShape(in Shape) (Shape, error) {
 	switch l.Kind {
 	case KindConv:
-		stride := l.Stride
-		if stride == 0 {
-			stride = 1
-		}
-		oh := outDim(in.H, l.K, stride, l.Pad)
-		ow := outDim(in.W, l.K, stride, l.Pad)
+		oh := outDim(in.H, l.K, l.stride(), l.Pad)
+		ow := outDim(in.W, l.K, l.stride(), l.Pad)
 		if oh <= 0 || ow <= 0 {
 			return Shape{}, fmt.Errorf("%w: conv %q output %dx%d from input %v", ErrNetDef, l.Name, oh, ow, in)
 		}
 		return Shape{C: l.Out, H: oh, W: ow}, nil
 	case KindPool:
-		stride := l.Stride
-		if stride == 0 {
-			stride = l.K
-		}
-		oh := outDim(in.H, l.K, stride, 0)
-		ow := outDim(in.W, l.K, stride, 0)
+		oh := outDim(in.H, l.K, l.stride(), 0)
+		ow := outDim(in.W, l.K, l.stride(), 0)
 		if oh <= 0 || ow <= 0 {
 			return Shape{}, fmt.Errorf("%w: pool %q output %dx%d from input %v", ErrNetDef, l.Name, oh, ow, in)
 		}

@@ -33,12 +33,7 @@ func RunFig6d(m *TrainedModel, queries int) ([]Fig6dRow, error) {
 		return nil, err
 	}
 	src := perturb.NewSegmentedSource(m.Net.Snapshot())
-	names := make([]string, 0)
-	for _, l := range m.Def.Nodes {
-		if l.Parametric() {
-			names = append(names, l.Name)
-		}
-	}
+	names := perturb.ParametricNames(m.Def)
 
 	var rows []Fig6dRow
 	for prefix := 1; prefix <= 3; prefix++ {

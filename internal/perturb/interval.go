@@ -7,48 +7,9 @@
 package perturb
 
 import (
-	"fmt"
-	"math"
-
 	"modelhub/internal/dnn"
 	"modelhub/internal/tensor"
 )
-
-// Interval is a closed range [Lo, Hi].
-type Interval struct {
-	Lo, Hi float32
-}
-
-// IVolume is a feature volume whose every element is an interval.
-type IVolume struct {
-	Shape  dnn.Shape
-	Lo, Hi []float32
-}
-
-// NewIVolume allocates a zero interval volume.
-func NewIVolume(s dnn.Shape) *IVolume {
-	n := s.Size()
-	return &IVolume{Shape: s, Lo: make([]float32, n), Hi: make([]float32, n)}
-}
-
-// Exact wraps a concrete volume as a degenerate interval volume.
-func Exact(v *dnn.Volume) *IVolume {
-	iv := NewIVolume(v.Shape)
-	copy(iv.Lo, v.Data)
-	copy(iv.Hi, v.Data)
-	return iv
-}
-
-// mulInterval returns the product interval of [al,ah] x [bl,bh].
-func mulInterval(al, ah, bl, bh float32) (float32, float32) {
-	p1 := float64(al) * float64(bl)
-	p2 := float64(al) * float64(bh)
-	p3 := float64(ah) * float64(bl)
-	p4 := float64(ah) * float64(bh)
-	lo := math.Min(math.Min(p1, p2), math.Min(p3, p4))
-	hi := math.Max(math.Max(p1, p2), math.Max(p3, p4))
-	return float32(lo), float32(hi)
-}
 
 // WeightBounds carries the lo/hi matrices of every parametric layer.
 type WeightBounds struct {
@@ -61,101 +22,20 @@ func ExactWeights(w map[string]*tensor.Matrix) WeightBounds {
 }
 
 // Evaluator runs interval forward passes of a network definition under
-// uncertain weights (paper Problem 2). It mirrors the dnn DAG executor:
-// chains are the common case; add/concat merge nodes propagate intervals by
-// interval addition and concatenation.
+// uncertain weights (paper Problem 2) on the dnn runtime's own graph and
+// kernels (dnn.IntervalNet). It is safe for concurrent use.
 type Evaluator struct {
-	def   *dnn.NetDef
-	order []string
-	specs map[string]dnn.LayerSpec
-	preds map[string][]string
-	// inShape/outShape are the static activation shapes per node.
-	inShape, outShape map[string]dnn.Shape
-	in                dnn.Shape
-	sink              string
+	def *dnn.NetDef
+	net *dnn.IntervalNet
 }
 
-// NewEvaluator validates the definition and precomputes the DAG shapes.
+// NewEvaluator validates the definition and resolves its graph.
 func NewEvaluator(def *dnn.NetDef) (*Evaluator, error) {
-	if err := def.Validate(); err != nil {
-		return nil, err
-	}
-	order, err := def.TopoOrder()
+	net, err := dnn.NewIntervalNet(def)
 	if err != nil {
 		return nil, err
 	}
-	e := &Evaluator{
-		def:      def,
-		order:    order,
-		specs:    map[string]dnn.LayerSpec{},
-		preds:    map[string][]string{},
-		inShape:  map[string]dnn.Shape{},
-		outShape: map[string]dnn.Shape{},
-		in:       dnn.Shape{C: def.InC, H: def.InH, W: def.InW},
-	}
-	var sinks []string
-	for _, l := range def.Nodes {
-		e.specs[l.Name] = l
-		e.preds[l.Name] = def.Prev(l.Name)
-		if len(def.Next(l.Name)) == 0 {
-			sinks = append(sinks, l.Name)
-		}
-	}
-	if len(sinks) != 1 {
-		return nil, fmt.Errorf("perturb: network needs exactly one sink, got %d", len(sinks))
-	}
-	e.sink = sinks[0]
-	for _, name := range order {
-		in, err := e.mergeInputShape(name)
-		if err != nil {
-			return nil, err
-		}
-		e.inShape[name] = in
-		spec := e.specs[name]
-		if spec.Kind == dnn.KindAdd || spec.Kind == dnn.KindConcat {
-			e.outShape[name] = in
-			continue
-		}
-		out, err := spec.OutShape(in)
-		if err != nil {
-			return nil, err
-		}
-		e.outShape[name] = out
-	}
-	return e, nil
-}
-
-func (e *Evaluator) mergeInputShape(name string) (dnn.Shape, error) {
-	preds := e.preds[name]
-	spec := e.specs[name]
-	switch {
-	case len(preds) == 0:
-		return e.in, nil
-	case len(preds) == 1:
-		return e.outShape[preds[0]], nil
-	case spec.Kind == dnn.KindAdd:
-		first := e.outShape[preds[0]]
-		for _, p := range preds[1:] {
-			if e.outShape[p] != first {
-				return dnn.Shape{}, fmt.Errorf("perturb: add node %q input shapes differ", name)
-			}
-		}
-		return first, nil
-	case spec.Kind == dnn.KindConcat:
-		first := e.outShape[preds[0]]
-		total := 0
-		for _, p := range preds {
-			s := e.outShape[p]
-			if s.H != first.H || s.W != first.W {
-				return dnn.Shape{}, fmt.Errorf("perturb: concat node %q spatial extents differ", name)
-			}
-			total += s.C
-		}
-		return dnn.Shape{C: total, H: first.H, W: first.W}, nil
-	default:
-		return dnn.Shape{}, fmt.Errorf("perturb: node %q (%s) has %d inputs; only add/concat merge",
-			name, spec.Kind, len(preds))
-	}
+	return &Evaluator{def: def, net: net}, nil
 }
 
 // Forward propagates the input through the DAG under the weight bounds and
@@ -163,250 +43,5 @@ func (e *Evaluator) mergeInputShape(name string) (dnn.Shape, error) {
 // skipped: softmax preserves the ordering of logits, so Lemma 4 applies to
 // the logits directly.
 func (e *Evaluator) Forward(in *dnn.Volume, w WeightBounds) (lo, hi []float32, err error) {
-	if in.Shape != e.in {
-		return nil, nil, fmt.Errorf("perturb: input shape %v, want %v", in.Shape, e.in)
-	}
-	outputs := map[string]*IVolume{}
-	logitsNode := e.sink
-	if e.specs[e.sink].Kind == dnn.KindSoftmax {
-		if preds := e.preds[e.sink]; len(preds) == 1 {
-			logitsNode = preds[0]
-		}
-	}
-	for _, name := range e.order {
-		x := e.nodeInput(name, in, outputs)
-		spec := e.specs[name]
-		inShape, outShape := e.inShape[name], e.outShape[name]
-		var y *IVolume
-		switch spec.Kind {
-		case dnn.KindConv:
-			y, err = e.conv(spec, inShape, outShape, x, w)
-		case dnn.KindFull:
-			y, err = e.full(spec, inShape, outShape, x, w)
-		case dnn.KindPool:
-			y = e.pool(spec, inShape, outShape, x)
-		case dnn.KindReLU, dnn.KindSigmoid, dnn.KindTanh:
-			y = e.activate(spec, x)
-		case dnn.KindAdd, dnn.KindConcat:
-			y = x // nodeInput already merged the predecessors
-		case dnn.KindSoftmax:
-			y = x // ordering-preserving; Lemma 4 applies to logits
-		default:
-			err = fmt.Errorf("perturb: unsupported layer kind %q", spec.Kind)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		outputs[name] = y
-		if name == logitsNode {
-			return y.Lo, y.Hi, nil
-		}
-	}
-	out := outputs[logitsNode]
-	return out.Lo, out.Hi, nil
-}
-
-// nodeInput assembles a node's interval input from its predecessors,
-// merging for add (interval sums) and concat (concatenation).
-func (e *Evaluator) nodeInput(name string, in *dnn.Volume, outputs map[string]*IVolume) *IVolume {
-	preds := e.preds[name]
-	switch {
-	case len(preds) == 0:
-		return Exact(in)
-	case len(preds) == 1:
-		return outputs[preds[0]]
-	case e.specs[name].Kind == dnn.KindAdd:
-		out := NewIVolume(e.inShape[name])
-		for _, p := range preds {
-			pv := outputs[p]
-			for i := range out.Lo {
-				out.Lo[i] += pv.Lo[i]
-				out.Hi[i] += pv.Hi[i]
-			}
-		}
-		return out
-	default: // concat
-		out := NewIVolume(e.inShape[name])
-		off := 0
-		for _, p := range preds {
-			pv := outputs[p]
-			copy(out.Lo[off:], pv.Lo)
-			copy(out.Hi[off:], pv.Hi)
-			off += pv.Shape.Size()
-		}
-		return out
-	}
-}
-
-func (e *Evaluator) weightRows(spec dnn.LayerSpec, in dnn.Shape, w WeightBounds) (lo, hi *tensor.Matrix, err error) {
-	rows, cols, err := spec.ParamShape(in)
-	if err != nil {
-		return nil, nil, err
-	}
-	lo, okLo := w.Lo[spec.Name]
-	hi, okHi := w.Hi[spec.Name]
-	if !okLo || !okHi {
-		return nil, nil, fmt.Errorf("perturb: missing weight bounds for layer %q", spec.Name)
-	}
-	if lo.Rows() != rows || lo.Cols() != cols || hi.Rows() != rows || hi.Cols() != cols {
-		return nil, nil, fmt.Errorf("perturb: weight bounds for %q are %dx%d, want %dx%d",
-			spec.Name, lo.Rows(), lo.Cols(), rows, cols)
-	}
-	return lo, hi, nil
-}
-
-func (e *Evaluator) conv(spec dnn.LayerSpec, in, out dnn.Shape, x *IVolume, w WeightBounds) (*IVolume, error) {
-	wl, wh, err := e.weightRows(spec, in, w)
-	if err != nil {
-		return nil, err
-	}
-	stride := spec.Stride
-	if stride == 0 {
-		stride = 1
-	}
-	k, pad := spec.K, spec.Pad
-	biasCol := wl.Cols() - 1
-	y := NewIVolume(out)
-	oi := 0
-	for oc := 0; oc < out.C; oc++ {
-		rl, rh := wl.Row(oc), wh.Row(oc)
-		for oy := 0; oy < out.H; oy++ {
-			for ox := 0; ox < out.W; ox++ {
-				sumLo := float64(rl[biasCol])
-				sumHi := float64(rh[biasCol])
-				for ic := 0; ic < in.C; ic++ {
-					for ky := 0; ky < k; ky++ {
-						iy := oy*stride + ky - pad
-						if iy < 0 || iy >= in.H {
-							continue
-						}
-						for kx := 0; kx < k; kx++ {
-							ix := ox*stride + kx - pad
-							if ix < 0 || ix >= in.W {
-								continue
-							}
-							wi := (ic*k+ky)*k + kx
-							xi := (ic*in.H+iy)*in.W + ix
-							l, h := mulInterval(rl[wi], rh[wi], x.Lo[xi], x.Hi[xi])
-							sumLo += float64(l)
-							sumHi += float64(h)
-						}
-					}
-				}
-				y.Lo[oi] = float32(sumLo)
-				y.Hi[oi] = float32(sumHi)
-				oi++
-			}
-		}
-	}
-	return y, nil
-}
-
-func (e *Evaluator) full(spec dnn.LayerSpec, in, out dnn.Shape, x *IVolume, w WeightBounds) (*IVolume, error) {
-	wl, wh, err := e.weightRows(spec, in, w)
-	if err != nil {
-		return nil, err
-	}
-	biasCol := wl.Cols() - 1
-	y := NewIVolume(out)
-	for o := 0; o < out.C; o++ {
-		rl, rh := wl.Row(o), wh.Row(o)
-		sumLo := float64(rl[biasCol])
-		sumHi := float64(rh[biasCol])
-		for i := range x.Lo {
-			l, h := mulInterval(rl[i], rh[i], x.Lo[i], x.Hi[i])
-			sumLo += float64(l)
-			sumHi += float64(h)
-		}
-		y.Lo[o] = float32(sumLo)
-		y.Hi[o] = float32(sumHi)
-	}
-	return y, nil
-}
-
-func (e *Evaluator) pool(spec dnn.LayerSpec, in, out dnn.Shape, x *IVolume) *IVolume {
-	stride := spec.Stride
-	if stride == 0 {
-		stride = spec.K
-	}
-	k := spec.K
-	y := NewIVolume(out)
-	oi := 0
-	for c := 0; c < out.C; c++ {
-		for oy := 0; oy < out.H; oy++ {
-			for ox := 0; ox < out.W; ox++ {
-				if spec.Mode == dnn.PoolMax {
-					lo := float32(math.Inf(-1))
-					hi := float32(math.Inf(-1))
-					for ky := 0; ky < k; ky++ {
-						iy := oy*stride + ky
-						if iy >= in.H {
-							continue
-						}
-						for kx := 0; kx < k; kx++ {
-							ix := ox*stride + kx
-							if ix >= in.W {
-								continue
-							}
-							xi := (c*in.H+iy)*in.W + ix
-							if x.Lo[xi] > lo {
-								lo = x.Lo[xi]
-							}
-							if x.Hi[xi] > hi {
-								hi = x.Hi[xi]
-							}
-						}
-					}
-					y.Lo[oi], y.Hi[oi] = lo, hi
-				} else {
-					var sumLo, sumHi float64
-					n := 0
-					for ky := 0; ky < k; ky++ {
-						iy := oy*stride + ky
-						if iy >= in.H {
-							continue
-						}
-						for kx := 0; kx < k; kx++ {
-							ix := ox*stride + kx
-							if ix >= in.W {
-								continue
-							}
-							xi := (c*in.H+iy)*in.W + ix
-							sumLo += float64(x.Lo[xi])
-							sumHi += float64(x.Hi[xi])
-							n++
-						}
-					}
-					y.Lo[oi] = float32(sumLo / float64(n))
-					y.Hi[oi] = float32(sumHi / float64(n))
-				}
-				oi++
-			}
-		}
-	}
-	return y
-}
-
-// activate applies a monotone activation to both bounds.
-func (e *Evaluator) activate(spec dnn.LayerSpec, x *IVolume) *IVolume {
-	y := NewIVolume(x.Shape)
-	var f func(float32) float32
-	switch spec.Kind {
-	case dnn.KindReLU:
-		f = func(v float32) float32 {
-			if v > 0 {
-				return v
-			}
-			return 0
-		}
-	case dnn.KindSigmoid:
-		f = func(v float32) float32 { return float32(1 / (1 + math.Exp(-float64(v)))) }
-	case dnn.KindTanh:
-		f = func(v float32) float32 { return float32(math.Tanh(float64(v))) }
-	}
-	for i := range x.Lo {
-		y.Lo[i] = f(x.Lo[i])
-		y.Hi[i] = f(x.Hi[i])
-	}
-	return y
+	return e.net.Forward(in, w.Lo, w.Hi)
 }

@@ -1,6 +1,7 @@
 package perturb
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -85,7 +86,7 @@ func TestIntervalSoundnessAcrossPrefixes(t *testing.T) {
 	want := n.Logits(in)
 	for prefix := 1; prefix <= 4; prefix++ {
 		w := WeightBounds{Lo: map[string]*tensor.Matrix{}, Hi: map[string]*tensor.Matrix{}}
-		for _, name := range parametricNames(def) {
+		for _, name := range ParametricNames(def) {
 			lo, hi, err := src.WeightIntervals(name, prefix)
 			if err != nil {
 				t.Fatal(err)
@@ -263,6 +264,8 @@ func TestForwardWrongWeightShape(t *testing.T) {
 	}
 }
 
+// mulInterval here is the reference's (reference_test.go); dnn tests the
+// production kernel against the same cases.
 func TestMulInterval(t *testing.T) {
 	cases := []struct {
 		al, ah, bl, bh, lo, hi float32
@@ -272,6 +275,10 @@ func TestMulInterval(t *testing.T) {
 		{-2, -1, -4, -3, 3, 8},
 		{-1, 1, -1, 1, -1, 1},
 		{0, 0, -5, 5, 0, 0},
+		// A zero factor is an exact 0 even against an infinite bound.
+		{0, 0, float32(math.Inf(-1)), float32(math.Inf(1)), 0, 0},
+		{0, 1, float32(math.Inf(-1)), float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.Inf(1))},
+		{-2, 0, 0x1p127, float32(math.Inf(1)), float32(math.Inf(-1)), 0},
 	}
 	for _, c := range cases {
 		lo, hi := mulInterval(c.al, c.ah, c.bl, c.bh)
@@ -293,7 +300,7 @@ func TestIntervalWidthShrinks(t *testing.T) {
 	prev := float64(-1)
 	for prefix := 1; prefix <= 4; prefix++ {
 		w := WeightBounds{Lo: map[string]*tensor.Matrix{}, Hi: map[string]*tensor.Matrix{}}
-		for _, name := range parametricNames(def) {
+		for _, name := range ParametricNames(def) {
 			lo, hi, err := src.WeightIntervals(name, prefix)
 			if err != nil {
 				t.Fatal(err)

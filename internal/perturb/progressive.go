@@ -14,11 +14,16 @@ import (
 // strictly exceeds the largest upper bound outside S (the "matched index
 // value range does not overlap with the k+1 index value range"). When
 // determined, the members of S are returned ordered by descending lower
-// bound.
+// bound. A NaN bound brackets nothing, so it leaves the top-k undetermined.
 func TopKDetermined(lo, hi []float32, k int) (bool, []int) {
 	n := len(lo)
 	if k <= 0 || k > n {
 		return false, nil
+	}
+	for i := range lo {
+		if lo[i] != lo[i] || hi[i] != hi[i] {
+			return false, nil
+		}
 	}
 	idx := make([]int, n)
 	for i := range idx {
@@ -62,7 +67,7 @@ func Progressive(ev *Evaluator, src IntervalSource, in *dnn.Volume, k, startPref
 	if startPrefix < 1 {
 		startPrefix = 1
 	}
-	names := parametricNames(ev.def)
+	names := ParametricNames(ev.def)
 	for prefix := startPrefix; prefix <= 4; prefix++ {
 		w := WeightBounds{Lo: map[string]*tensor.Matrix{}, Hi: map[string]*tensor.Matrix{}}
 		for _, name := range names {
@@ -98,7 +103,9 @@ func argsortDesc(v []float32) []int {
 	return idx
 }
 
-func parametricNames(def *dnn.NetDef) []string {
+// ParametricNames lists the parametric layer names of a network definition
+// in declaration order — the layer set a PrefetchSource should cover.
+func ParametricNames(def *dnn.NetDef) []string {
 	var out []string
 	for _, l := range def.Nodes {
 		if l.Parametric() {
@@ -107,7 +114,3 @@ func parametricNames(def *dnn.NetDef) []string {
 	}
 	return out
 }
-
-// ParametricNames lists the parametric layer names of a network definition —
-// the layer set a PrefetchSource should cover.
-func ParametricNames(def *dnn.NetDef) []string { return parametricNames(def) }
