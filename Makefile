@@ -45,7 +45,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentIndex -fuzztime=$(FUZZTIME) ./internal/pas
 	$(GO) test -run='^$$' -fuzz=FuzzOpenManifest -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x ./internal/pas
 	$(GO) test -run='^$$' -fuzz=FuzzLintDirectiveAndBaseline -fuzztime=$(FUZZTIME) ./internal/lint
-	$(GO) test -run='^$$' -fuzz=FuzzIntervalMatchesReference -fuzztime=$(FUZZTIME) ./internal/perturb
+	$(GO) test -run='^$$' -fuzz=FuzzProgressiveAgreesWithFull -fuzztime=$(FUZZTIME) ./internal/perturb
 
 # End-to-end observability check: start modelhub-server -metrics, publish +
 # pull a tiny archived repo, scrape /metrics, assert well-formed JSON with
@@ -80,7 +80,7 @@ bench-scaling:
 test-scaling:
 	for procs in 1 2 4; do \
 		echo "== GOMAXPROCS=$$procs =="; \
-		GOMAXPROCS=$$procs $(GO) test -race -count=1 ./internal/tensor/ ./internal/dnn/ ./internal/dql/ || exit 1; \
+		GOMAXPROCS=$$procs $(GO) test -race -count=1 ./internal/tensor/ ./internal/dnn/ ./internal/dql/ ./internal/perturb/ ./internal/dlv/ || exit 1; \
 	done
 
 check: build vet fmt-check lint test test-race
@@ -93,11 +93,11 @@ help:
 	@echo "lint-baseline - regenerate lint.baseline.json from current findings"
 	@echo "test        - go test ./..."
 	@echo "test-race   - go test -race ./..."
-	@echo "fuzz-smoke  - short fuzz runs incl. the PAS manifest decoder and interval engine (FUZZTIME=$(FUZZTIME))"
+	@echo "fuzz-smoke  - short fuzz runs incl. the PAS manifest decoder and progressive inference (FUZZTIME=$(FUZZTIME))"
 	@echo "obs-smoke   - live /metrics + pprof scrape against a real server"
 	@echo "cluster-smoke - gateway + 3-replica failure drill with anti-entropy repair"
 	@echo "bench       - run all benchmarks once"
 	@echo "bench-train - training-substrate kernel benchmarks"
 	@echo "bench-scaling - GOMAXPROCS x workers compute sweep (BENCH_scaling.json)"
-	@echo "test-scaling - tensor/dnn/dql suites with -race under GOMAXPROCS 1/2/4"
+	@echo "test-scaling - tensor/dnn/dql/perturb/dlv suites with -race under GOMAXPROCS 1/2/4"
 	@echo "check       - build + vet + fmt-check + lint + test + test-race"

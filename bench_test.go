@@ -268,6 +268,30 @@ func BenchmarkFig6dProgressive(b *testing.B) {
 	}
 }
 
+// BenchmarkFig6dProgressiveBatch answers 16 examples per op with one
+// batched progressive query over a PrefetchSource, the shape of a dlv
+// progressive eval request.
+func BenchmarkFig6dProgressiveBatch(b *testing.B) {
+	m := trainedModel(b)
+	ev, err := perturb.NewEvaluator(m.Def)
+	if err != nil {
+		b.Fatal(err)
+	}
+	names := perturb.ParametricNames(m.Def)
+	src := perturb.NewPrefetchSource(perturb.NewSegmentedSource(m.Net.Snapshot()), names, 0)
+	const batch = 16
+	ins := make([]*dnn.Volume, batch)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range ins {
+			ins[j] = m.Test[(i*batch+j)%len(m.Test)].Input
+		}
+		if _, err := perturb.ProgressiveBatch(ev, src, ins, 1, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkFig6dFullForward(b *testing.B) {
 	m := trainedModel(b)
 	in := m.Test[0].Input

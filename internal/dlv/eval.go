@@ -80,13 +80,20 @@ func (r *Repo) EvalProgressiveTopK(versionID int64, snap string, examples []dnn.
 		return r.WeightIntervals(versionID, snap, layer, prefix)
 	})
 	src := perturb.NewPrefetchSource(base, perturb.ParametricNames(v.NetDef), 0)
+	ins := make([]*dnn.Volume, len(examples))
+	for i, ex := range examples {
+		ins[i] = ex.Input
+	}
+	// One batched progressive query: each prefix is one parallel interval
+	// forward over the examples it has not settled yet.
+	outs, err := perturb.ProgressiveBatch(ev, src, ins, k, 1)
+	if err != nil {
+		return nil, err
+	}
 	res := &ProgressiveEvalResult{}
 	correct := 0
-	for _, ex := range examples {
-		out, err := perturb.Progressive(ev, src, ex.Input, k, 1)
-		if err != nil {
-			return nil, err
-		}
+	for i, ex := range examples {
+		out := outs[i]
 		res.PrefixHistogram[out.PrefixUsed]++
 		for _, label := range out.Labels {
 			if label == ex.Label {

@@ -2,15 +2,15 @@ package dnn
 
 import "modelhub/internal/tensor"
 
-// im2col unrolls in (C×H×W) into cols (C·k·k × outH·outW): row (ic·k+ky)·k+kx,
-// column oy·outW+ox holds in[ic, oy·stride+ky-pad, ox·stride+kx-pad], or 0
-// where that index falls in the padding. Every cell of cols is written, so a
-// reused buffer needs no prior zeroing. The stride-1 common case copies
+// im2col unrolls in (C×H×W) into the row-major C·k·k × outH·outW matrix at
+// the head of cdata: row (ic·k+ky)·k+kx, column oy·outW+ox holds
+// in[ic, oy·stride+ky-pad, ox·stride+kx-pad], or 0 where that index falls in
+// the padding. Every cell of the matrix is written, so a reused buffer needs
+// no prior zeroing. The stride-1 common case copies
 // contiguous input runs per output row.
-func im2col(in *Volume, cols *tensor.Matrix, k, stride, pad, outH, outW int) {
+func im2col(in *Volume, cdata []float32, k, stride, pad, outH, outW int) {
 	h, w := in.Shape.H, in.Shape.W
 	n := outH * outW
-	cdata := cols.Data()
 	row := 0
 	for ic := 0; ic < in.Shape.C; ic++ {
 		chOff := ic * h * w

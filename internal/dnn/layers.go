@@ -115,7 +115,7 @@ func (l *convLayer) Forward(in *Volume) *Volume {
 	kk := l.in.C * k * k   // contraction depth (weight columns sans bias)
 	n := l.out.H * l.out.W // output pixels
 	cols := scratchMatrix(&l.cols, kk, n)
-	im2col(in, cols, k, l.stride, pad, l.out.H, l.out.W)
+	im2col(in, cols.Data(), k, l.stride, pad, l.out.H, l.out.W)
 	// Bias seed below writes every output element, so no zero-on-reuse.
 	out := scratchVolume(&l.outBuf, l.out, false)
 	// Seed each output row with its bias, then accumulate W·cols on top:

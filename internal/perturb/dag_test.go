@@ -1,11 +1,11 @@
 package perturb
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"modelhub/internal/dnn"
-	"modelhub/internal/tensor"
 )
 
 // residualDef builds a skip-connection model covering both merge kinds.
@@ -36,8 +36,8 @@ func residualDef() *dnn.NetDef {
 	}
 }
 
-// The interval DAG evaluator with exact bounds must match the DNN DAG
-// executor's logits.
+// With exact bounds, the interval DAG evaluator's bounds strictly contain
+// the DNN DAG executor's logits and are narrow.
 func TestDAGExactBoundsMatchForward(t *testing.T) {
 	def := residualDef()
 	n, err := dnn.Build(def, rand.New(rand.NewSource(1)))
@@ -53,16 +53,11 @@ func TestDAGExactBoundsMatchForward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := n.Logits(in)
-	for i := range want.Data {
-		if absf(lo[i]-want.Data[i]) > 1e-4 || absf(hi[i]-want.Data[i]) > 1e-4 {
-			t.Fatalf("logit %d: plain %v, interval [%v,%v]", i, want.Data[i], lo[i], hi[i])
-		}
-	}
+	checkExactBounds(t, lo, hi, n.Logits(in).Data)
 }
 
 // Interval soundness through merge nodes: the true logits stay inside the
-// interval output at every byte-plane prefix.
+// interval output at every byte-plane prefix, with no slack.
 func TestDAGIntervalSoundness(t *testing.T) {
 	def := residualDef()
 	n, err := dnn.Build(def, rand.New(rand.NewSource(3)))
@@ -75,28 +70,13 @@ func TestDAGIntervalSoundness(t *testing.T) {
 	}
 	src := NewSegmentedSource(n.Snapshot())
 	in := randIn(4, dnn.Shape{C: 1, H: 6, W: 6})
-	want := n.Logits(in)
+	want := n.Logits(in).Data
 	for prefix := 1; prefix <= 4; prefix++ {
-		w := WeightBounds{Lo: map[string]*tensor.Matrix{}, Hi: map[string]*tensor.Matrix{}}
-		for _, l := range def.Nodes {
-			if !l.Parametric() {
-				continue
-			}
-			lo, hi, err := src.WeightIntervals(l.Name, prefix)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w.Lo[l.Name], w.Hi[l.Name] = lo, hi
-		}
-		lo, hi, err := ev.Forward(in, w)
+		lo, hi, err := ev.Forward(in, boundsAt(t, def, src, prefix))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range want.Data {
-			if !(lo[i] <= want.Data[i]+1e-4 && want.Data[i] <= hi[i]+1e-4) {
-				t.Fatalf("prefix %d logit %d: %v outside [%v,%v]", prefix, i, want.Data[i], lo[i], hi[i])
-			}
-		}
+		checkContains(t, fmt.Sprintf("prefix %d", prefix), lo, hi, want)
 	}
 }
 

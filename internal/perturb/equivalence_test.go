@@ -26,43 +26,43 @@ func boundsAt(t testing.TB, def *dnn.NetDef, src IntervalSource, prefix int) Wei
 	return w
 }
 
-// sameBound reports bitwise equality with +0 and -0 counted equal; two NaNs
-// are equal whatever their payloads.
-func sameBound(a, b float32) bool {
-	return math.Float32bits(a) == math.Float32bits(b) || a == b || (a != a && b != b)
-}
-
-// checkMatchesReference runs Evaluator and the scalar reference on one input
-// and fails unless every bound agrees.
-func checkMatchesReference(t testing.TB, ev *Evaluator, ref *refEvaluator, in *dnn.Volume, w WeightBounds, what string) (lo, hi []float32) {
-	t.Helper()
-	lo, hi, err := ev.Forward(in, w)
-	if err != nil {
-		t.Fatalf("%s: %v", what, err)
-	}
-	rlo, rhi, err := ref.Forward(in, w)
-	if err != nil {
-		t.Fatalf("%s: reference: %v", what, err)
-	}
-	if len(lo) != len(rlo) || len(hi) != len(rhi) {
-		t.Fatalf("%s: %d/%d logits, reference %d/%d", what, len(lo), len(hi), len(rlo), len(rhi))
-	}
-	for i := range lo {
-		if !sameBound(lo[i], rlo[i]) || !sameBound(hi[i], rhi[i]) {
-			t.Fatalf("%s: logit %d is [%v,%v], reference [%v,%v]", what, i, lo[i], hi[i], rlo[i], rhi[i])
+// sampleBox draws weights inside the bounds: every lower endpoint (which
+// 0), every upper endpoint (which 1), or uniform draws (which 2), clamped to
+// finite float32 values.
+func sampleBox(rng *rand.Rand, w WeightBounds, which int) map[string]*tensor.Matrix {
+	out := map[string]*tensor.Matrix{}
+	for _, name := range dnn.SortedNames(w.Lo) { // a fixed order of rng draws
+		lo, hi := w.Lo[name], w.Hi[name]
+		m := lo.Clone()
+		for i, l := range lo.Data() {
+			l := max(l, -math.MaxFloat32)
+			h := min(hi.Data()[i], math.MaxFloat32)
+			switch which {
+			case 0:
+				m.Data()[i] = l
+			case 1:
+				m.Data()[i] = h
+			default:
+				v := float32(float64(l) + rng.Float64()*(float64(h)-float64(l)))
+				m.Data()[i] = min(max(v, l), h)
+			}
 		}
+		out[name] = m
 	}
-	return lo, hi
+	return out
 }
 
 // Property: on every zoo architecture and the residual DAG, at every
-// byte-plane prefix and over several inputs, Evaluator's bounds equal the
-// scalar reference's bit for bit.
+// byte-plane prefix and over several inputs, the logits dnn.Network
+// computes lie inside Evaluator's bounds, with no slack, for weights at the
+// box endpoints (the ones the scalar reference multiplies) and at random
+// points inside the box.
 func TestIntervalMatchesReferenceZoo(t *testing.T) {
 	defs := []*dnn.NetDef{
 		zoo.LeNet("lenet"), zoo.AlexNetMini("alexnet"), zoo.ResNetMini("resnet"),
 		zoo.ResNetSkip("resnet-skip"), residualDef(),
 	}
+	rng := rand.New(rand.NewSource(19))
 	for di, def := range defs {
 		n, err := dnn.Build(def, rand.New(rand.NewSource(int64(20+di))))
 		if err != nil {
@@ -72,17 +72,97 @@ func TestIntervalMatchesReferenceZoo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := newRefEvaluator(def)
-		if err != nil {
-			t.Fatal(err)
-		}
 		src := NewSegmentedSource(n.Snapshot())
 		shape := dnn.Shape{C: def.InC, H: def.InH, W: def.InW}
 		for prefix := 1; prefix <= 4; prefix++ {
 			w := boundsAt(t, def, src, prefix)
+			var nets []*dnn.Network
+			for which := 0; which < 4; which++ {
+				nets = append(nets, networkWith(t, def, sampleBox(rng, w, which)))
+			}
 			for seed := int64(0); seed < 3; seed++ {
 				in := randIn(100*int64(di)+seed, shape)
-				checkMatchesReference(t, ev, ref, in, w, fmt.Sprintf("%s prefix %d seed %d", def.Name, prefix, seed))
+				lo, hi, err := ev.Forward(in, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for which, net := range nets {
+					checkContains(t, fmt.Sprintf("%s prefix %d seed %d sample %d", def.Name, prefix, seed, which),
+						lo, hi, net.Logits(in).Data)
+				}
+			}
+		}
+	}
+}
+
+// Rump's bound, per affine kernel: on one-layer nets (full, padded conv,
+// strided conv) with exact inputs, the midpoint-radius radius is at most
+// 1.5 times the scalar reference's plus the rounding terms
+// 2γ(2|Wm|+Wr)|x| of the two float32 sums (γ = 2·γ_{kk+2}) and a few ulps.
+func TestAffineRadiusWithinRumpBound(t *testing.T) {
+	defs := []*dnn.NetDef{
+		dnn.ChainDef("full", 2, 3, 3, 5, dnn.LayerSpec{Name: "l", Kind: dnn.KindFull, Out: 5}),
+		dnn.ChainDef("conv", 2, 5, 5, 3*5*5, dnn.LayerSpec{Name: "l", Kind: dnn.KindConv, Out: 3, K: 3, Pad: 1}),
+		dnn.ChainDef("conv-s2", 2, 6, 6, 4*3*3, dnn.LayerSpec{Name: "l", Kind: dnn.KindConv, Out: 4, K: 2, Stride: 2}),
+	}
+	const u = 0x1p-24
+	for di, def := range defs {
+		rng := rand.New(rand.NewSource(int64(40 + di)))
+		n, err := dnn.Build(def, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := n.Snapshot()
+		for _, m := range snap { // give the zero-initialised biases values
+			for r := 0; r < m.Rows(); r++ {
+				m.Set(r, m.Cols()-1, float32(rng.NormFloat64()))
+			}
+		}
+		kk := snap["l"].Cols() - 1
+		g := 2 * float64(kk+2) * u / (1 - float64(kk+2)*u)
+		ev, err := NewEvaluator(def)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := newRefEvaluator(def)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := NewSegmentedSource(snap)
+		shape := dnn.Shape{C: def.InC, H: def.InH, W: def.InW}
+		for prefix := 1; prefix <= 3; prefix++ {
+			w := boundsAt(t, def, src, prefix)
+			// mag runs the layer on |x| with weights max(|lo|,|hi|): the sum
+			// of |w|·|x| over every weight in the box, bias included.
+			abs := w.Lo["l"].Clone()
+			for i, l := range abs.Data() {
+				abs.Data()[i] = max(l, -l, w.Hi["l"].Data()[i], -w.Hi["l"].Data()[i])
+			}
+			magNet := networkWith(t, def, map[string]*tensor.Matrix{"l": abs})
+			for seed := int64(0); seed < 3; seed++ {
+				in := randIn(50+seed, shape)
+				lo, hi, err := ev.Forward(in, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rlo, rhi, err := ref.Forward(in, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				absIn := in.Clone()
+				for i, v := range absIn.Data {
+					absIn.Data[i] = max(v, -v)
+				}
+				mag := magNet.Logits(absIn).Data
+				for i := range lo {
+					rad := (float64(hi[i]) - float64(lo[i])) / 2
+					refRad := (float64(rhi[i]) - float64(rlo[i])) / 2
+					ulp := float64(math.Nextafter32(max(hi[i], -lo[i]), float32(math.Inf(1))) - max(hi[i], -lo[i]))
+					if allow := 1.5*refRad + 4*g*float64(mag[i]) + 4*ulp; rad > allow {
+						t.Fatalf("%s prefix %d seed %d output %d: radius %v above %v (reference %v)",
+							def.Name, prefix, seed, i, rad, allow, refRad)
+					}
+				}
 			}
 		}
 	}
@@ -150,15 +230,11 @@ func TestEvaluatorConcurrentForward(t *testing.T) {
 // prefix 1 for |w| >= 2^127) times a zero input is 0·Inf = NaN in IEEE
 // arithmetic, and one NaN poisons every logit downstream. A zero input,
 // whether an im2col padding tap or a real zero activation, must contribute
-// an exact 0.
+// an exact 0: the infinite bound becomes radius MaxFloat32, not +Inf.
 func TestPaddedConvInfiniteWeightBound(t *testing.T) {
 	def := dnn.ChainDef("inf", 1, 4, 4, 16,
 		dnn.LayerSpec{Name: "conv", Kind: dnn.KindConv, Out: 1, K: 3, Pad: 1})
 	ev, err := NewEvaluator(def)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := newRefEvaluator(def)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,23 +252,29 @@ func TestPaddedConvInfiniteWeightBound(t *testing.T) {
 	lo.Set(0, 0, 0x1p127)
 	hi.Set(0, 0, float32(math.Inf(1)))
 	w := WeightBounds{Lo: map[string]*tensor.Matrix{"conv": lo}, Hi: map[string]*tensor.Matrix{"conv": hi}}
-	ylo, yhi := checkMatchesReference(t, ev, ref, in, w, "padded conv")
+	ylo, yhi, err := ev.Forward(in, w)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range ylo {
 		if math.IsNaN(float64(ylo[i])) || math.IsNaN(float64(yhi[i])) {
 			t.Fatalf("output %d is [%v,%v]: NaN from 0·Inf", i, ylo[i], yhi[i])
 		}
 	}
 	// Output (0,0) reads tap (0,0) from the padding and output (2,2) reads it
-	// from the zero activation, so both are exact: 0.5 times the ones under
-	// their other taps (three for (0,0), whose window also holds the zero;
-	// eight for (2,2)).
+	// from the zero activation, so both are finite and contain 0.5 times the
+	// ones under their other taps (three for (0,0), whose window also holds
+	// the zero; eight for (2,2)). Their width is the rounding terms of two
+	// 10-term float32 sums, 2·2γ·Σ|w·x| with γ = 2·γ_11: under 72 ulp.
 	for _, c := range []struct {
 		y, x int
 		want float32
 	}{{0, 0, 1.5}, {2, 2, 4}} {
 		i := c.y*4 + c.x
-		if ylo[i] != c.want || yhi[i] != c.want {
-			t.Errorf("output (%d,%d) is [%v,%v], want exactly %v", c.y, c.x, ylo[i], yhi[i], c.want)
+		l, h := ylo[i], yhi[i]
+		ulp := math.Nextafter32(c.want, float32(math.Inf(1))) - c.want
+		if !(l <= c.want && c.want <= h) || math.IsInf(float64(h-l), 0) || h-l > 72*ulp {
+			t.Errorf("output (%d,%d) is [%v,%v], want a bound of %v at most 72 ulp wide", c.y, c.x, l, h, c.want)
 		}
 	}
 	// Output (1,1) reads tap (0,0) from a one: its upper bound is infinite.
@@ -218,13 +300,17 @@ func TestTopKDeterminedNaN(t *testing.T) {
 	}
 }
 
-// FuzzIntervalMatchesReference builds a small random chain from the fuzz
+// FuzzProgressiveAgreesWithFull builds a small random chain from the fuzz
 // input (conv with pad and stride, max and average pooling, every
-// activation, then a full layer), picks a prefix, and checks Evaluator
-// against the scalar reference bit for bit. With finite weights no bound
-// may be NaN; the high bit of the first byte plants one weight of magnitude
-// 2^127, whose bounds are infinite below prefix 4.
-func FuzzIntervalMatchesReference(f *testing.F) {
+// activation, then a full layer), picks a prefix, and checks the paper's
+// guarantee against dnn.Network itself: no bound is NaN; the logits Network
+// computes under weights at the box endpoints and inside the box lie inside
+// the bounds (a NaN logit, from an overflow inside Network, only inside
+// (-Inf, +Inf)); and a progressive top-1 equals Network.Predict's, unless
+// Network's logits are NaN and it has no answer. The high bit of the first
+// byte plants one weight of magnitude 2^127, whose bounds are infinite
+// below prefix 4 and whose products may overflow.
+func FuzzProgressiveAgreesWithFull(f *testing.F) {
 	f.Add([]byte{0, 1, 6, 6, 3, 0, 2, 3, 1, 1, 1, 2, 2, 3, 4, 5, 3, 2})
 	f.Add([]byte{0x81, 2, 8, 7, 5, 0, 3, 3, 1, 2, 3, 0, 1, 2, 1, 0, 2, 2, 4, 5, 9})
 	f.Add([]byte{0x12, 1, 5, 5, 2, 2, 2, 1, 0, 5, 7, 3})
@@ -278,7 +364,8 @@ func FuzzIntervalMatchesReference(f *testing.F) {
 			t.Fatalf("build %+v: %v", def, err)
 		}
 		snap := n.Snapshot()
-		for _, m := range snap { // give the zero-initialised biases values
+		for _, name := range ParametricNames(def) { // give the zero-initialised biases values
+			m := snap[name]
 			for r := 0; r < m.Rows(); r++ {
 				m.Set(r, m.Cols()-1, float32(rng.NormFloat64()))
 			}
@@ -298,19 +385,42 @@ func FuzzIntervalMatchesReference(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := newRefEvaluator(def)
+		src := NewSegmentedSource(snap)
+		w := boundsAt(t, def, src, prefix)
+		lo, hi, err := ev.Forward(x, w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := boundsAt(t, def, NewSegmentedSource(snap), prefix)
-		lo, hi := checkMatchesReference(t, ev, ref, x, w, fmt.Sprintf("%+v prefix %d", def.Nodes, prefix))
-		if plantInf {
-			return
-		}
+		what := fmt.Sprintf("%+v prefix %d", def.Nodes, prefix)
 		for i := range lo {
 			if lo[i] != lo[i] || hi[i] != hi[i] {
-				t.Fatalf("finite weights gave logit %d bounds [%v,%v]", i, lo[i], hi[i])
+				t.Fatalf("%s: logit %d bounds [%v,%v]", what, i, lo[i], hi[i])
 			}
+		}
+		for which := 0; which < 3; which++ {
+			for i, v := range networkWith(t, def, sampleBox(rng, w, which)).Logits(x).Data {
+				inside := lo[i] <= v && v <= hi[i]
+				if v != v { // an overflow inside Network: only unbounded bounds admit it
+					inside = math.IsInf(float64(lo[i]), -1) && math.IsInf(float64(hi[i]), 1)
+				}
+				if !inside {
+					t.Fatalf("%s sample %d: logit %d is %v, outside [%v,%v]", what, which, i, v, lo[i], hi[i])
+				}
+			}
+		}
+		full := networkWith(t, def, snap)
+		res, err := Progressive(ev, src, x, 1, prefix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range full.Logits(x).Data {
+			if v != v {
+				return // Network has no answer to agree with
+			}
+		}
+		if want := full.Predict(x); res.Labels[0] != want {
+			t.Fatalf("%s: progressive top-1 %d at prefix %d, full precision %d (logits %v)",
+				what, res.Labels[0], res.PrefixUsed, want, full.Logits(x).Data)
 		}
 	})
 }

@@ -39,9 +39,21 @@ func NewEvaluator(def *dnn.NetDef) (*Evaluator, error) {
 }
 
 // Forward propagates the input through the DAG under the weight bounds and
-// returns the interval of every output logit. A trailing softmax layer is
-// skipped: softmax preserves the ordering of logits, so Lemma 4 applies to
-// the logits directly.
+// returns the interval of every output logit: a one-element ForwardBatch.
 func (e *Evaluator) Forward(in *dnn.Volume, w WeightBounds) (lo, hi []float32, err error) {
-	return e.net.Forward(in, w.Lo, w.Hi)
+	los, his, err := e.ForwardBatch([]*dnn.Volume{in}, w)
+	if err != nil {
+		return nil, nil, err
+	}
+	return los[0], his[0], nil
+}
+
+// ForwardBatch propagates every input through the DAG under the weight
+// bounds and returns each example's logit intervals. For every weight
+// inside the bounds, the logits dnn.Network computes lie inside them. A
+// trailing softmax layer is skipped: softmax preserves the ordering of
+// logits, so Lemma 4 applies to the logits directly. The examples run in
+// parallel; each one's bounds are the same as from a one-element call.
+func (e *Evaluator) ForwardBatch(ins []*dnn.Volume, w WeightBounds) (lo, hi [][]float32, err error) {
+	return e.net.ForwardBatch(ins, w.Lo, w.Hi)
 }

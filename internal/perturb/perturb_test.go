@@ -1,8 +1,10 @@
 package perturb
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -44,9 +46,48 @@ func randIn(seed int64, s dnn.Shape) *dnn.Volume {
 	return v
 }
 
-// With exact (degenerate) weight bounds the interval forward pass must
-// reproduce the plain forward pass logits exactly-ish (same arithmetic,
-// modulo float64 accumulation differences).
+// networkWith builds def's runtime network holding weights w.
+func networkWith(t testing.TB, def *dnn.NetDef, w map[string]*tensor.Matrix) *dnn.Network {
+	t.Helper()
+	n, err := dnn.Build(def, rand.New(rand.NewSource(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Restore(w); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// checkContains fails unless every logit of want lies inside [lo, hi], with
+// no slack.
+func checkContains(t testing.TB, what string, lo, hi, want []float32) {
+	t.Helper()
+	for i, v := range want {
+		if !(lo[i] <= v && v <= hi[i]) {
+			t.Fatalf("%s: logit %d is %v, outside [%v,%v]", what, i, v, lo[i], hi[i])
+		}
+	}
+}
+
+// checkExactBounds requires exact weights to give bounds that strictly
+// contain the plain forward's logits, each narrower than 2^-7·max(1,|v|):
+// the bounds carry the rounding terms of both float32 sums, so they are
+// never degenerate.
+func checkExactBounds(t *testing.T, lo, hi, want []float32) {
+	t.Helper()
+	for i, v := range want {
+		if !(lo[i] < v && v < hi[i]) {
+			t.Fatalf("logit %d: plain %v, interval [%v,%v] does not strictly contain it", i, v, lo[i], hi[i])
+		}
+		if w := float64(hi[i]) - float64(lo[i]); w > 0x1p-7*math.Max(1, math.Abs(float64(v))) {
+			t.Fatalf("logit %d: plain %v, interval [%v,%v] is %v wide", i, v, lo[i], hi[i], w)
+		}
+	}
+}
+
+// With exact (degenerate) weight bounds the interval bounds strictly
+// contain the plain forward pass logits and are narrow.
 func TestExactBoundsMatchPlainForward(t *testing.T) {
 	def, n := testNet(t, 1)
 	ev, err := NewEvaluator(def)
@@ -58,23 +99,11 @@ func TestExactBoundsMatchPlainForward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := n.Logits(in)
-	for i := range want.Data {
-		if absf(lo[i]-want.Data[i]) > 1e-4 || absf(hi[i]-want.Data[i]) > 1e-4 {
-			t.Fatalf("logit %d: plain %v, interval [%v,%v]", i, want.Data[i], lo[i], hi[i])
-		}
-	}
-}
-
-func absf(v float32) float32 {
-	if v < 0 {
-		return -v
-	}
-	return v
+	checkExactBounds(t, lo, hi, n.Logits(in).Data)
 }
 
 // Soundness: with weights segmented into byte planes, the interval output
-// must always contain the true logits, at every prefix.
+// must always contain the true logits, at every prefix, with no slack.
 func TestIntervalSoundnessAcrossPrefixes(t *testing.T) {
 	def, n := testNet(t, 3)
 	ev, err := NewEvaluator(def)
@@ -83,31 +112,18 @@ func TestIntervalSoundnessAcrossPrefixes(t *testing.T) {
 	}
 	src := NewSegmentedSource(n.Snapshot())
 	in := randIn(4, dnn.Shape{C: 2, H: 6, W: 6})
-	want := n.Logits(in)
+	want := n.Logits(in).Data
 	for prefix := 1; prefix <= 4; prefix++ {
-		w := WeightBounds{Lo: map[string]*tensor.Matrix{}, Hi: map[string]*tensor.Matrix{}}
-		for _, name := range ParametricNames(def) {
-			lo, hi, err := src.WeightIntervals(name, prefix)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w.Lo[name], w.Hi[name] = lo, hi
-		}
-		lo, hi, err := ev.Forward(in, w)
+		lo, hi, err := ev.Forward(in, boundsAt(t, def, src, prefix))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range want.Data {
-			// Allow a hair of accumulation slack.
-			if !(lo[i] <= want.Data[i]+1e-4 && want.Data[i] <= hi[i]+1e-4) {
-				t.Fatalf("prefix %d logit %d: %v outside [%v,%v]", prefix, i, want.Data[i], lo[i], hi[i])
-			}
-		}
+		checkContains(t, fmt.Sprintf("prefix %d", prefix), lo, hi, want)
 	}
 }
 
-// Property: random weights sampled inside the bounds always produce logits
-// inside the interval output.
+// Property: for random weights sampled inside the bounds, the logits
+// dnn.Network computes lie inside the interval output, with no slack.
 func TestIntervalContainsSampledWeightsProperty(t *testing.T) {
 	def, n := testNet(t, 5)
 	ev, err := NewEvaluator(def)
@@ -130,21 +146,20 @@ func TestIntervalContainsSampledWeightsProperty(t *testing.T) {
 				u := float32(rng.Float64() * 0.05)
 				lo.Data()[i] -= u
 				hi.Data()[i] += u
-				sm.Data()[i] += (rng.Float32()*2 - 1) * u
+				sm.Data()[i] = lo.Data()[i] + rng.Float32()*(hi.Data()[i]-lo.Data()[i])
+				sm.Data()[i] = min(max(sm.Data()[i], lo.Data()[i]), hi.Data()[i])
 			}
 			w.Lo[name], w.Hi[name] = lo, hi
 			sampled[name] = sm
 		}
 		lo, hi, err := ev.Forward(in, w)
 		if err != nil {
-			return false
+			t.Fatal(err)
 		}
-		sLo, sHi, err := ev.Forward(in, ExactWeights(sampled))
-		if err != nil {
-			return false
-		}
-		for i := range lo {
-			if sLo[i] < lo[i]-1e-3 || sHi[i] > hi[i]+1e-3 {
+		got := networkWith(t, def, sampled).Logits(in).Data
+		for i, v := range got {
+			if !(lo[i] <= v && v <= hi[i]) {
+				t.Logf("seed %d logit %d: %v outside [%v,%v]", seed, i, v, lo[i], hi[i])
 				return false
 			}
 		}
@@ -264,8 +279,7 @@ func TestForwardWrongWeightShape(t *testing.T) {
 	}
 }
 
-// mulInterval here is the reference's (reference_test.go); dnn tests the
-// production kernel against the same cases.
+// mulInterval here is the scalar reference's (reference_test.go).
 func TestMulInterval(t *testing.T) {
 	cases := []struct {
 		al, ah, bl, bh, lo, hi float32
@@ -323,4 +337,108 @@ func TestIntervalWidthShrinks(t *testing.T) {
 	if prev > 1e-3 {
 		t.Fatalf("prefix-4 intervals should be (near) degenerate, width %v", prev)
 	}
+}
+
+// Regression: exact weights at prefix 4 used to give degenerate bounds from
+// a float64 sum narrowed once, whose order differs from Network's float32
+// sum. Row a's float32 sum 1 + 2^-24 + 2^-24 + 2^-24 rounds to 1 at every
+// step, while its float64 sum narrows to 1 + 2^-22; row b is 1 + 2^-23.
+// Network.Predict says b, so Progressive must too.
+func TestProgressivePrefix4AgreesWithPredict(t *testing.T) {
+	def := dnn.ChainDef("tie", 1, 1, 4, 2, dnn.LayerSpec{Name: "fc", Kind: dnn.KindFull, Out: 2})
+	w := tensor.NewMatrix(2, 5)
+	copy(w.Row(0), []float32{1, 0x1p-24, 0x1p-24, 0x1p-24, 0})
+	copy(w.Row(1), []float32{1 + 0x1p-23, 0, 0, 0, 0})
+	snap := map[string]*tensor.Matrix{"fc": w}
+	in := dnn.NewVolume(dnn.Shape{C: 1, H: 1, W: 4})
+	for i := range in.Data {
+		in.Data[i] = 1
+	}
+	want := networkWith(t, def, snap).Predict(in)
+	if want != 1 {
+		t.Fatalf("Network.Predict = %d, want row b (1)", want)
+	}
+	ev, err := NewEvaluator(def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Progressive(ev, NewSegmentedSource(snap), in, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Labels[0] != want || res.PrefixUsed != 4 {
+		t.Fatalf("progressive answered %v at prefix %d, Network.Predict %d at prefix 4", res.Labels, res.PrefixUsed, want)
+	}
+}
+
+// Batching changes no result: every example's bounds from ForwardBatch and
+// its ProgressiveBatch result are bit for bit those of a one-element call,
+// at several batch sizes and worker counts.
+func TestForwardBatchMatchesSingle(t *testing.T) {
+	defs := []*dnn.NetDef{zoo.LeNet("lenet"), residualDef()}
+	for di, def := range defs {
+		n, err := dnn.Build(def, rand.New(rand.NewSource(int64(60+di))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev, err := NewEvaluator(def)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := NewSegmentedSource(n.Snapshot())
+		shape := dnn.Shape{C: def.InC, H: def.InH, W: def.InW}
+		var ins []*dnn.Volume
+		for i := 0; i < 16; i++ {
+			ins = append(ins, randIn(int64(70+i), shape))
+		}
+		w := boundsAt(t, def, src, 2)
+		wantLo, wantHi := make([][]float32, len(ins)), make([][]float32, len(ins))
+		wantRes := make([]*Result, len(ins))
+		for i, in := range ins {
+			if wantLo[i], wantHi[i], err = ev.Forward(in, w); err != nil {
+				t.Fatal(err)
+			}
+			if wantRes[i], err = Progressive(ev, src, in, 2, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, procs := range []int{1, 2, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			for _, size := range []int{1, 3, 16} {
+				what := fmt.Sprintf("%s GOMAXPROCS %d batch %d", def.Name, procs, size)
+				lo, hi, err := ev.ForwardBatch(ins[:size], w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := ProgressiveBatch(ev, src, ins[:size], 2, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < size; i++ {
+					if !sameBits(lo[i], wantLo[i]) || !sameBits(hi[i], wantHi[i]) {
+						t.Fatalf("%s example %d: bounds differ from a one-element call", what, i)
+					}
+					r, want := res[i], wantRes[i]
+					if r.PrefixUsed != want.PrefixUsed || fmt.Sprint(r.Labels) != fmt.Sprint(want.Labels) ||
+						!sameBits(r.Lo, want.Lo) || !sameBits(r.Hi, want.Hi) {
+						t.Fatalf("%s example %d: progressive %v at %d, one-element %v at %d",
+							what, i, r.Labels, r.PrefixUsed, want.Labels, want.PrefixUsed)
+					}
+				}
+			}
+			runtime.GOMAXPROCS(prev)
+		}
+	}
+}
+
+func sameBits(a, b []float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

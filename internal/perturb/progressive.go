@@ -2,6 +2,7 @@ package perturb
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 
 	"modelhub/internal/dnn"
@@ -61,14 +62,33 @@ type Result struct {
 
 // Progressive runs the paper's progressive query: evaluate with 1 byte
 // plane; if the top-k prediction is not determined, fetch one more plane and
-// repeat. Prefix 4 yields exact weights, where determination is guaranteed
-// up to exact ties (broken by index order, matching dnn.Network.Predict).
+// repeat. It is a one-element ProgressiveBatch.
 func Progressive(ev *Evaluator, src IntervalSource, in *dnn.Volume, k, startPrefix int) (*Result, error) {
+	res, err := ProgressiveBatch(ev, src, []*dnn.Volume{in}, k, startPrefix)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
+// ProgressiveBatch runs the progressive query for every input: each prefix,
+// starting at startPrefix, is one batched interval forward over the
+// examples still undetermined. The bounds contain the logits dnn.Network
+// computes, so a determined top-k is Network's. At prefix 4 the weights are
+// exact; an example still undetermined there (a near tie) takes its top-k
+// from one dnn.Network built from those weights, as a full-precision eval
+// would, so every answer agrees with full precision.
+func ProgressiveBatch(ev *Evaluator, src IntervalSource, ins []*dnn.Volume, k, startPrefix int) ([]*Result, error) {
 	if startPrefix < 1 {
 		startPrefix = 1
 	}
+	out := make([]*Result, len(ins))
+	pending := make([]int, len(ins))
+	for i := range pending {
+		pending[i] = i
+	}
 	names := ParametricNames(ev.def)
-	for prefix := startPrefix; prefix <= 4; prefix++ {
+	for prefix := min(startPrefix, 4); len(pending) > 0; prefix++ {
 		w := WeightBounds{Lo: map[string]*tensor.Matrix{}, Hi: map[string]*tensor.Matrix{}}
 		for _, name := range names {
 			lo, hi, err := src.WeightIntervals(name, prefix)
@@ -77,29 +97,66 @@ func Progressive(ev *Evaluator, src IntervalSource, in *dnn.Volume, k, startPref
 			}
 			w.Lo[name], w.Hi[name] = lo, hi
 		}
-		lo, hi, err := ev.Forward(in, w)
+		batch := make([]*dnn.Volume, len(pending))
+		for j, i := range pending {
+			batch[j] = ins[i]
+		}
+		lo, hi, err := ev.ForwardBatch(batch, w)
 		if err != nil {
 			return nil, err
 		}
-		if ok, labels := TopKDetermined(lo, hi, k); ok {
-			return &Result{Labels: labels, PrefixUsed: prefix, Lo: lo, Hi: hi}, nil
+		var still []int
+		for j, i := range pending {
+			ok, labels := TopKDetermined(lo[j], hi[j], k)
+			out[i] = &Result{Labels: labels, PrefixUsed: prefix, Lo: lo[j], Hi: hi[j]}
+			if !ok {
+				still = append(still, i)
+			}
 		}
-		if prefix == 4 {
-			// Exact weights but tied logits: fall back to argsort by value,
-			// the same order a plain forward pass would produce.
-			labels := argsortDesc(lo)[:k]
-			return &Result{Labels: labels, PrefixUsed: 4, Lo: lo, Hi: hi}, nil
+		if prefix == 4 && len(still) > 0 {
+			if err := fullPrecisionTopK(ev.def, w.Lo, ins, still, out, k); err != nil {
+				return nil, err
+			}
+			still = nil
 		}
+		pending = still
 	}
-	return nil, fmt.Errorf("perturb: unreachable")
+	return out, nil
 }
 
+// fullPrecisionTopK answers the examples ins[i], i in idx, from one
+// dnn.Network holding the exact weights: the top-k of its output, ties
+// broken by index as Network.Predict breaks them.
+func fullPrecisionTopK(def *dnn.NetDef, weights map[string]*tensor.Matrix, ins []*dnn.Volume, idx []int, out []*Result, k int) error {
+	// The rng only seeds throwaway weights; Restore overwrites them.
+	net, err := dnn.Build(def, rand.New(rand.NewSource(0)))
+	if err != nil {
+		return err
+	}
+	if err := net.Restore(weights); err != nil {
+		return err
+	}
+	for _, i := range idx {
+		scores := net.Forward(ins[i]).Data
+		if k < 1 || k > len(scores) {
+			return fmt.Errorf("perturb: top-%d of %d outputs", k, len(scores))
+		}
+		out[i].Labels = argsortDesc(scores)[:k]
+	}
+	return nil
+}
+
+// argsortDesc orders indices by descending value, ties by index and NaN
+// last: its first index is the one Network.Predict's argmax picks.
 func argsortDesc(v []float32) []int {
 	idx := make([]int, len(v))
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return v[idx[a]] > v[idx[b]] })
+	sort.SliceStable(idx, func(a, b int) bool {
+		x, y := v[idx[a]], v[idx[b]]
+		return x > y || (y != y && x == x)
+	})
 	return idx
 }
 

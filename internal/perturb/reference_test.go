@@ -3,10 +3,11 @@ package perturb
 // The scalar interval engine below is the reference for dnn.IntervalNet,
 // which Evaluator runs. It shares no code with dnn beyond the NetDef: its
 // own DAG walk, shape inference, merges, pooling and activations, and conv
-// as a direct six-deep loop that skips padding taps. It makes the two
-// choices dnn makes: mulInterval takes a zero factor as an exact 0 (0·±Inf
-// is not NaN), and average pooling sums in float32. Evaluator must match it
-// bit for bit, with +0 and -0 counted equal (equivalence_test.go).
+// as a direct six-deep loop that skips padding taps, with one interval
+// product (mulInterval, a zero factor taken as an exact 0) per tap summed
+// in float64. Its bounds are the interval hull up to that rounding, so
+// Evaluator's midpoint-radius radius must stay within Rump's 1.5 times the
+// reference's plus the rounding terms (TestAffineRadiusWithinRumpBound).
 
 import (
 	"fmt"
